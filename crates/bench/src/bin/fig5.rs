@@ -1,5 +1,5 @@
 //! Regenerates **Fig. 5**: dynamic edge-cut, normalized dynamic balance
-//! ((balance − 1)/(k − 1)) and total moves for every method at k ∈
+//! ((balance − 1)/(k − 1)) and total moves for every strategy at k ∈
 //! {2, 4, 8}, over the whole history.
 //!
 //! The paper's shapes to look for: edge-cut grows with k for every
@@ -8,42 +8,35 @@
 //! far fewer.
 
 use blockpart_bench::{generate_history, seed_from_env};
-use blockpart_core::experiments::{fig5_rows, fig5_table};
-use blockpart_core::{Method, Study};
+use blockpart_core::experiments::mean_window_metrics;
+use blockpart_core::Experiment;
 use blockpart_types::ShardCount;
 
 fn main() {
     let chain = generate_history();
-    let ks: Vec<ShardCount> = [2u16, 4, 8]
-        .iter()
-        .map(|&k| ShardCount::new(k).expect("non-zero"))
-        .collect();
-    let result = Study::new(&chain.log)
-        .methods(Method::ALL.to_vec())
-        .shard_counts(ks)
-        .seed(seed_from_env())
-        .run();
+    // the paper's grid is the experiment's default: all five strategies
+    // at k ∈ {2, 4, 8}
+    let report = Experiment::over_log(&chain.log).seed(seed_from_env()).run();
 
     println!("\n## Fig. 5 — methods vs shard count (full history)\n");
-    let rows = fig5_rows(&result);
-    println!("{}", fig5_table(&rows).render_ascii());
+    println!("{}", report.offline_table().render_ascii());
 
     // headline cross-checks (printed, not asserted: scales vary)
-    let cut = |m, k: u16| {
-        rows.iter()
-            .find(|r| r.method == m && r.k.get() == k)
-            .map(|r| r.dynamic_edge_cut)
+    let cut = |strategy, k: u16| {
+        ShardCount::new(k)
+            .and_then(|k| report.offline(strategy, k))
+            .map(|sim| mean_window_metrics(sim).0)
             .unwrap_or(f64::NAN)
     };
     println!(
         "hash cut growth with k : {:.2} -> {:.2} -> {:.2}",
-        cut(Method::Hash, 2),
-        cut(Method::Hash, 4),
-        cut(Method::Hash, 8)
+        cut("HASH", 2),
+        cut("HASH", 4),
+        cut("HASH", 8)
     );
     println!(
         "metis advantage at k=2 : {:.2} vs hash {:.2}",
-        cut(Method::Metis, 2),
-        cut(Method::Hash, 2)
+        cut("METIS", 2),
+        cut("HASH", 2)
     );
 }

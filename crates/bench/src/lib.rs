@@ -1,5 +1,5 @@
-//! Shared scaffolding for the figure-regeneration binaries, the [`perf`]
-//! measurement harness and the criterion benchmarks.
+//! Shared scaffolding for the figure-regeneration binaries and the
+//! [`perf`] measurement harness.
 //!
 //! Each `fig*` binary regenerates one figure of the paper from a synthetic
 //! chain. All binaries honour two environment variables:

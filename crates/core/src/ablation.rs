@@ -11,7 +11,9 @@ use blockpart_partition::{
 use blockpart_shard::{PlacementRule, RepartitionPolicy, ShardSimulator, SimulationResult};
 use blockpart_types::{Duration, ShardCount};
 
+use crate::experiments::mean_window_metrics;
 use crate::methods::Method;
+use crate::strategy::{CanonicalStrategy, StrategySpec};
 
 /// Result of one ablation run.
 #[derive(Clone, Debug)]
@@ -30,12 +32,11 @@ pub struct AblationRun {
 
 impl AblationRun {
     fn from_result(label: String, result: &SimulationResult) -> AblationRun {
-        let active: Vec<_> = result.windows.iter().filter(|w| w.events > 0).collect();
-        let n = active.len().max(1) as f64;
+        let (dynamic_edge_cut, dynamic_balance) = mean_window_metrics(result);
         AblationRun {
             label,
-            dynamic_edge_cut: active.iter().map(|w| w.dynamic_edge_cut).sum::<f64>() / n,
-            dynamic_balance: active.iter().map(|w| w.dynamic_balance).sum::<f64>() / n,
+            dynamic_edge_cut,
+            dynamic_balance,
             moves: result.total_moves,
             repartitions: result.repartitions,
         }
@@ -64,8 +65,9 @@ pub fn placement_ablation(log: &InteractionLog, k: ShardCount, seed: u64) -> Vec
     [PlacementRule::Hash, PlacementRule::MinCut]
         .into_iter()
         .map(|rule| {
-            let config = Method::Metis.simulator_config(k).with_placement(rule);
-            let mut sim = ShardSimulator::new(config, Method::Metis.partitioner(seed));
+            let spec = CanonicalStrategy::new(Method::Metis);
+            let config = spec.simulator_config(k).with_placement(rule);
+            let mut sim = ShardSimulator::new(config, spec.build_partitioner(seed));
             let result = sim.run(log);
             AblationRun::from_result(format!("{rule:?}"), &result)
         })
@@ -83,8 +85,9 @@ pub fn scope_window_ablation(
     windows
         .iter()
         .map(|&w| {
-            let config = Method::RMetis.simulator_config(k).with_scope_window(w);
-            let mut sim = ShardSimulator::new(config, Method::RMetis.partitioner(seed));
+            let spec = CanonicalStrategy::new(Method::RMetis);
+            let config = spec.simulator_config(k).with_scope_window(w);
+            let mut sim = ShardSimulator::new(config, spec.build_partitioner(seed));
             let result = sim.run(log);
             AblationRun::from_result(format!("window={}d", w.as_days_f64()), &result)
         })
@@ -103,15 +106,15 @@ pub fn threshold_ablation(
     thresholds
         .iter()
         .map(|&(edge_cut, balance)| {
-            let config =
-                Method::TrMetis
-                    .simulator_config(k)
-                    .with_policy(RepartitionPolicy::Threshold {
-                        edge_cut,
-                        balance,
-                        min_interval: Duration::weeks(2),
-                    });
-            let mut sim = ShardSimulator::new(config, Method::TrMetis.partitioner(seed));
+            let spec = CanonicalStrategy::new(Method::TrMetis);
+            let config = spec
+                .simulator_config(k)
+                .with_policy(RepartitionPolicy::Threshold {
+                    edge_cut,
+                    balance,
+                    min_interval: Duration::weeks(2),
+                });
+            let mut sim = ShardSimulator::new(config, spec.build_partitioner(seed));
             let result = sim.run(log);
             AblationRun::from_result(format!("cut>{edge_cut}|bal>{balance}"), &result)
         })

@@ -1,9 +1,8 @@
 //! The unified experiment pipeline: workload → windowing → strategies ×
 //! shard counts → offline simulation and/or 2PC runtime replay.
 //!
-//! [`Experiment`] collapses the two historical one-shot drivers
-//! ([`Study`](crate::Study) and [`RuntimeStudy`](crate::RuntimeStudy),
-//! both now thin shims over this type) into one builder:
+//! [`Experiment`] is the one way to run the study. One builder configures
+//! every part of it:
 //!
 //! 1. **Workload source** — a pre-built [`SyntheticChain`], a bare
 //!    [`InteractionLog`], or a [`GeneratorConfig`] the pipeline
@@ -49,11 +48,13 @@ use blockpart_graph::InteractionLog;
 use blockpart_live::{LiveConfig, LiveRunner, MigrationReport};
 use blockpart_metrics::{Json, Table};
 use blockpart_obs::{perfetto, Collector, Record, Trace};
+use blockpart_partition::CutMetrics;
 use blockpart_runtime::{Assignment, RuntimeReport, ShardedRuntime};
 use blockpart_shard::{ShardSimulator, SimulationResult};
 use blockpart_storage::{SegmentStore, DEFAULT_SEGMENT_EVENTS};
 use blockpart_types::{Duration, ShardCount, SpillSession, StorageBackend};
 
+use crate::experiments::mean_window_metrics;
 use crate::scenario::{ScenarioRegistry, ScenarioSpec};
 use crate::strategy::{spec_lookup_key, StrategyError, StrategyRegistry, StrategySpec};
 
@@ -176,7 +177,7 @@ impl ExperimentReport {
         for r in &self.runs {
             let Some(sim) = &r.offline else { continue };
             let (cut, bal) = mean_window_metrics(sim);
-            let normalized = normalized_balance(bal, r.k.as_usize());
+            let normalized = CutMetrics::normalized_balance(bal, r.k.as_usize());
             t.row(vec![
                 r.strategy.clone(),
                 r.k.get().to_string(),
@@ -325,28 +326,6 @@ fn next_task(local: &Worker<usize>, stealers: &[Stealer<usize>], me: usize) -> O
         if !retry {
             return None;
         }
-    }
-}
-
-/// Mean per-window dynamic edge-cut and balance over active windows —
-/// the aggregation behind both this report's offline table and the
-/// Fig. 5 rows in [`crate::experiments`].
-pub(crate) fn mean_window_metrics(sim: &SimulationResult) -> (f64, f64) {
-    let active: Vec<_> = sim.windows.iter().filter(|w| w.events > 0).collect();
-    let n = active.len().max(1) as f64;
-    (
-        active.iter().map(|w| w.dynamic_edge_cut).sum::<f64>() / n,
-        active.iter().map(|w| w.dynamic_balance).sum::<f64>() / n,
-    )
-}
-
-/// Normalizes a mean dynamic balance as `(b − 1)/(k − 1)` so different
-/// shard counts are comparable (the paper's Fig. 5 y-axis).
-pub(crate) fn normalized_balance(mean_balance: f64, k: usize) -> f64 {
-    if k <= 1 {
-        0.0
-    } else {
-        ((mean_balance - 1.0) / (k as f64 - 1.0)).max(0.0)
     }
 }
 

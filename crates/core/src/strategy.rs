@@ -193,11 +193,6 @@ impl CanonicalStrategy {
         }
     }
 
-    /// The underlying paper method.
-    pub fn method(&self) -> Method {
-        self.method
-    }
-
     /// Overrides the reduced-graph window length.
     pub fn with_scope_window(mut self, window: Duration) -> Self {
         self.scope_window = Some(window);
@@ -924,27 +919,6 @@ mod tests {
             assert_eq!(reg.resolve(name).unwrap().name(), "R-METIS", "{name}");
         }
         assert_eq!(reg.resolve("pmetis").unwrap().name(), "R-METIS");
-    }
-
-    #[test]
-    fn canonical_specs_match_method_configs() {
-        let reg = StrategyRegistry::with_builtins();
-        for m in Method::ALL {
-            let spec = reg.resolve(m.label()).unwrap();
-            for k in [ShardCount::TWO, ShardCount::new(8).unwrap()] {
-                let a = spec.simulator_config(k);
-                let b = m.simulator_config(k);
-                assert_eq!(a.placement, b.placement, "{m}");
-                assert_eq!(a.policy, b.policy, "{m}");
-                assert_eq!(a.scope, b.scope, "{m}");
-                assert_eq!(a.scope_window, b.scope_window, "{m}");
-            }
-            assert_eq!(
-                spec.build_partitioner(3).name(),
-                m.partitioner(3).name(),
-                "{m}"
-            );
-        }
     }
 
     #[test]

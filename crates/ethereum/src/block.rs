@@ -1,7 +1,6 @@
 //! Blocks: batches of transactions sharing a timestamp.
 
 use blockpart_types::{BlockNumber, Gas, Timestamp};
-use serde::{Deserialize, Serialize};
 
 use crate::transaction::Transaction;
 
@@ -18,7 +17,7 @@ use crate::transaction::Transaction;
 /// assert_eq!(b.number, BlockNumber::new(7));
 /// assert!(b.transactions.is_empty());
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Block {
     /// Height in the chain.
     pub number: BlockNumber,
@@ -41,7 +40,7 @@ impl Block {
 
 /// What remains of a block after execution: the header-level summary kept
 /// by the [`Chain`](crate::Chain).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockSummary {
     /// Height in the chain.
     pub number: BlockNumber,

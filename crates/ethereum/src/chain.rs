@@ -3,7 +3,6 @@
 
 use blockpart_graph::{Interaction, InteractionLog};
 use blockpart_types::{BlockNumber, Gas, Timestamp};
-use serde::{Deserialize, Serialize};
 
 use crate::block::{Block, BlockSummary};
 use crate::evm::{ExecContext, GasSchedule, Vm};
@@ -51,7 +50,7 @@ pub struct TxOutcome {
 /// assert_eq!(summary.tx_count, 1);
 /// assert_eq!(log.len(), 1);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Chain {
     world: World,
     summaries: Vec<BlockSummary>,

@@ -8,7 +8,6 @@
 //! frontier schedule and an order of magnitude costlier after the fork.
 
 use blockpart_types::Gas;
-use serde::{Deserialize, Serialize};
 
 use crate::evm::Op;
 
@@ -23,7 +22,7 @@ use crate::evm::Op;
 /// let post = GasSchedule::eip150();
 /// assert!(post.cost(&Op::Balance).get() > pre.cost(&Op::Balance).get() * 10);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GasSchedule {
     /// Flat cost charged for every transaction.
     pub tx_base: u64,

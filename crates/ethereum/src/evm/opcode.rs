@@ -1,7 +1,6 @@
 //! The EVM-lite instruction set.
 
 use blockpart_types::Gas;
-use serde::{Deserialize, Serialize};
 
 /// One EVM-lite instruction.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(add.gas_cost().get() > 0);
 /// assert_eq!(format!("{add:?}"), "Add");
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Op {
     /// Halt successfully. `() -> ()`
     Stop,

@@ -2,7 +2,6 @@
 //! chain's simulated history.
 
 use blockpart_types::{Duration, Timestamp};
-use serde::{Deserialize, Serialize};
 
 /// Average length of a month in seconds (the timeline is specified in
 /// months since genesis, 2015-07-30).
@@ -29,7 +28,7 @@ pub(crate) fn month(m: f64) -> Timestamp {
 /// assert!(mix.transfer > mix.token);
 /// assert_eq!(mix.attack, 0.0);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TxMix {
     /// Plain ether transfers between accounts.
     pub transfer: f64,

@@ -9,12 +9,11 @@
 use std::collections::BinaryHeap;
 
 use blockpart_types::{Gas, Wei};
-use serde::{Deserialize, Serialize};
 
 use crate::transaction::Transaction;
 
 /// A pending transaction with its bid.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct Pending {
     /// Fee per gas unit offered.
     gas_price: Wei,

@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::evm::Op;
 
 /// An immutable EVM-lite program (a contract's code).
@@ -24,7 +22,7 @@ use crate::evm::Op;
 /// let p = ContractTemplate::Wallet.program();
 /// assert!(!p.ops().is_empty());
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Program(Vec<Op>);
 
 impl Program {
@@ -69,7 +67,7 @@ impl Program {
 /// assert_eq!(t.id(), 0);
 /// assert!(ContractTemplate::from_id(99).is_none());
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ContractTemplate {
     /// ERC20-style token: balance bookkeeping in storage, no internal
     /// calls. Becomes a high-in-degree hub vertex.

@@ -3,12 +3,11 @@
 use std::collections::HashMap;
 
 use blockpart_types::{AccountKind, Address, Wei};
-use serde::{Deserialize, Serialize};
 
 use crate::program::{ContractTemplate, Program};
 
 /// The mutable state of one externally-owned account.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AccountState {
     /// Current balance.
     pub balance: Wei,
@@ -17,7 +16,7 @@ pub struct AccountState {
 }
 
 /// The mutable state of one contract.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ContractState {
     /// The archetype this contract was instantiated from.
     pub template: ContractTemplate,
@@ -42,7 +41,7 @@ impl ContractState {
 
 /// A portable snapshot of one address's state — what two-phase commit
 /// ships between shards.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AddressState {
     /// An externally-owned account.
     Account(AccountState),
@@ -81,7 +80,7 @@ impl AddressState {
 /// assert!(world.is_contract(token));
 /// assert_eq!(world.balance(alice), Wei::new(1_000));
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct World {
     accounts: HashMap<Address, AccountState>,
     contracts: HashMap<Address, ContractState>,

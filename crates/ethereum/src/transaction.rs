@@ -1,10 +1,9 @@
 //! Transactions, call records and receipts.
 
 use blockpart_types::{AccountKind, Address, Gas, Timestamp, Wei};
-use serde::{Deserialize, Serialize};
 
 /// What a transaction does once it reaches its target.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TxPayload {
     /// Plain ether transfer (or a contract call with no argument).
     Transfer,
@@ -40,7 +39,7 @@ pub enum TxPayload {
 /// };
 /// assert_eq!(tx.value, Wei::new(100));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Transaction {
     /// Sender (always an externally-owned account).
     pub from: Address,
@@ -55,7 +54,7 @@ pub struct Transaction {
 }
 
 /// How an edge between two vertices came to be.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CallKind {
     /// The top-level transaction edge (user → target).
     Transaction,
@@ -69,7 +68,7 @@ pub enum CallKind {
 
 /// One interaction produced while executing a transaction. Each record
 /// becomes an edge of the blockchain graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CallRecord {
     /// Caller / sender vertex.
     pub from: Address,
@@ -86,7 +85,7 @@ pub struct CallRecord {
 }
 
 /// Whether a transaction completed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TxStatus {
     /// Executed to completion.
     Success,
@@ -96,7 +95,7 @@ pub enum TxStatus {
 }
 
 /// The result of executing one transaction.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Receipt {
     /// Outcome.
     pub status: TxStatus,
@@ -149,7 +148,7 @@ impl Receipt {
 /// assert_eq!(exec.declared_reads(), exec.touched.as_slice());
 /// assert_eq!(exec.declared_writes(), exec.touched.as_slice());
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExecutedTx {
     /// Block time of the canonical execution.
     pub time: Timestamp,
@@ -167,11 +166,9 @@ pub struct ExecutedTx {
     /// run captured exact access sets; empty on records predating the
     /// split — use [`declared_reads`](Self::declared_reads), which falls
     /// back to `touched`.
-    #[serde(default)]
     pub reads: Vec<Address>,
     /// Addresses the canonical execution *wrote* (ascending); same
     /// conventions as [`reads`](Self::reads).
-    #[serde(default)]
     pub writes: Vec<Address>,
 }
 

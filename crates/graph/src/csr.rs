@@ -3,7 +3,6 @@
 use std::fmt;
 
 use blockpart_types::split_ranges;
-use serde::{Deserialize, Serialize};
 
 /// A symmetric (undirected) weighted graph in compressed-sparse-row form.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(csr.total_edge_weight(), 12);
 /// assert_eq!(csr.weighted_degree(1), 12);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Csr {
     xadj: Vec<usize>,
     adjncy: Vec<u32>,

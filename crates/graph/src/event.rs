@@ -1,7 +1,6 @@
 //! Time-ordered interaction logs and windowed graph construction.
 
 use blockpart_types::{AccountKind, Address, StorageBackend, Timestamp};
-use serde::{Deserialize, Serialize};
 
 use crate::graph::Graph;
 
@@ -24,7 +23,7 @@ use crate::graph::Graph;
 /// assert_eq!(i.weight, 1);
 /// assert!(!i.to_kind.is_contract());
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Interaction {
     /// When the enclosing transaction executed.
     pub time: Timestamp,
@@ -79,7 +78,7 @@ impl Interaction {
 /// let g = log.graph_until(Timestamp::from_secs(500));
 /// assert_eq!(g.edge_count(), 6); // events at t = 0,100,...,500
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct InteractionLog {
     events: Vec<Interaction>,
 }

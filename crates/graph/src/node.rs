@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A dense index identifying a vertex inside one [`Graph`](crate::Graph).
 ///
 /// Node ids are assigned by the [`GraphBuilder`](crate::GraphBuilder) in
@@ -20,9 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(n.index(), 5);
 /// assert_eq!(n.to_string(), "n5");
 /// ```
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {

@@ -48,7 +48,6 @@ use blockpart_runtime::{
 };
 use blockpart_shard::{RepartitionPolicy, WindowedGraph};
 use blockpart_types::{Duration, ShardCount, Timestamp};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the live loop: measurement window, graph retention,
 /// trigger policy, and the engine/migration tuning underneath.
@@ -63,7 +62,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.window, Duration::hours(1));
 /// assert_eq!(cfg.depth, 7);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LiveConfig {
     /// Number of shards.
     pub k: ShardCount,
@@ -169,7 +168,7 @@ impl LiveConfig {
 
 /// One measurement window of a live run: the foreground's cost plus the
 /// trigger inputs measured at the window's close.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LiveWindow {
     /// Window start (block time).
     pub start: Timestamp,
@@ -230,7 +229,7 @@ impl LiveWindow {
 
 /// A foreground performance snapshot (one window's throughput and
 /// latency), used for before/during/after comparisons.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Phase {
     /// Foreground commits per virtual second.
     pub throughput_tps: f64,
@@ -242,7 +241,7 @@ pub struct Phase {
 
 /// One executed migration with the foreground's performance in the
 /// windows around it.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MigrationEpisode {
     /// Start of the window during which the migration executed.
     pub window: Timestamp,
@@ -258,7 +257,7 @@ pub struct MigrationEpisode {
 }
 
 /// The measured outcome of a live run. See the [module docs](self).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MigrationReport {
     /// The partitioner's method name.
     pub strategy: String,

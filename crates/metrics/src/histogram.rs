@@ -1,7 +1,5 @@
 //! Log-binned histograms, for degree and activity distributions.
 
-use serde::{Deserialize, Serialize};
-
 /// A base-2 log-binned histogram of non-negative integers: bin `i` counts
 /// values in `[2^i, 2^(i+1))`, with a dedicated zero bin.
 ///
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.count(), 6);
 /// assert_eq!(h.bin_for(700), 9); // 2^9 = 512 <= 700 < 1024
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LogHistogram {
     zero: u64,
     bins: Vec<u64>,

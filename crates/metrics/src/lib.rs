@@ -11,7 +11,7 @@
 //! * [`ViolinDensity`] — a Gaussian kernel density estimate (the violin);
 //! * [`Table`] — ASCII/CSV table rendering for the bench binaries;
 //! * [`Json`] — a minimal JSON builder for machine-readable reports
-//!   (the workspace builds offline, without `serde_json`);
+//!   (the workspace builds offline, without a JSON crate);
 //! * [`calendar`] — month labelling aligned with the paper's x-axes.
 //!
 //! # Examples

@@ -1,7 +1,6 @@
 //! Timestamped scalar series.
 
 use blockpart_types::Timestamp;
-use serde::{Deserialize, Serialize};
 
 /// A time-ordered series of scalar samples — one line of the paper's
 /// Fig. 3 plots.
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.len(), 2);
 /// assert_eq!(s.mean(), Some(0.45));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TimeSeries {
     name: String,
     points: Vec<(Timestamp, f64)>,

@@ -1,8 +1,6 @@
 //! Distribution summaries: five-number statistics and kernel density
 //! estimates (the numbers behind the paper's box-and-whisker/violin plots).
 
-use serde::{Deserialize, Serialize};
-
 /// Min, first quartile, median, third quartile, max — the box-and-whisker
 /// numbers of the paper's Fig. 4.
 ///
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.max, 4.0);
 /// assert!(FiveNumber::of(&[]).is_none());
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FiveNumber {
     /// Smallest value (lower whisker).
     pub min: f64,
@@ -103,7 +101,7 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
 /// let mid = v.density[8];
 /// assert!(v.density[0] > mid && v.density[15] > mid);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ViolinDensity {
     /// Evaluation points, spanning `[min, max]` of the data.
     pub grid: Vec<f64>,

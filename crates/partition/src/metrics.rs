@@ -3,7 +3,6 @@
 use std::fmt;
 
 use blockpart_graph::Csr;
-use serde::{Deserialize, Serialize};
 
 use crate::partition::Partition;
 
@@ -33,7 +32,7 @@ use crate::partition::Partition;
 /// assert!((m.dynamic_edge_cut - 0.8).abs() < 1e-12);
 /// assert!((m.static_balance - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CutMetrics {
     /// Number of undirected edges crossing shards.
     pub cut_edges: usize,

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use blockpart_types::{ShardCount, ShardId};
-use serde::{Deserialize, Serialize};
 
 /// An assignment of every vertex of a graph to one of `k` shards.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.shard_sizes(), vec![2, 2]);
 /// assert_eq!(p.moves_from(&p), 0);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Partition {
     assignment: Vec<u16>,
     k: ShardCount,

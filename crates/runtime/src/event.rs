@@ -1,11 +1,9 @@
 //! Events of the discrete-event sharded execution engine.
 
-use serde::{Deserialize, Serialize};
-
 use crate::net::Message;
 
 /// Index of a transaction in the engine's replay table.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxId(pub u32);
 
 impl TxId {

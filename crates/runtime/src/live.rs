@@ -35,7 +35,6 @@ use blockpart_ethereum::{ExecutedTx, World};
 use blockpart_obs::Trace;
 use blockpart_shard::AssignmentDelta;
 use blockpart_types::{Address, ShardId, Timestamp};
-use serde::{Deserialize, Serialize};
 
 use crate::clock::{EventQueue, Micros};
 use crate::event::{Event, TxId};
@@ -53,7 +52,7 @@ use crate::{drive, payload_record, Assignment, Detail, RuntimeConfig, RuntimeRep
 /// let cfg = MigrationConfig::default();
 /// assert_eq!(cfg.batch_accounts, 64);
 /// ```
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MigrationConfig {
     /// Maximum accounts shipped per 2PC migration batch.
     pub batch_accounts: usize,
@@ -71,7 +70,7 @@ impl Default for MigrationConfig {
 }
 
 /// What one executed migration cost, measured inside the engine.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MigrationStats {
     /// 2PC batches shipped.
     pub batches: u64,
@@ -86,7 +85,7 @@ pub struct MigrationStats {
 /// The outcome of one segment of a live session: the foreground
 /// traffic's report plus, when a rebalance executed in this segment,
 /// the migration's measured cost.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SegmentReport {
     /// Foreground transactions offered in this segment.
     pub txs: usize,

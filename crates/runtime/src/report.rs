@@ -5,10 +5,9 @@ use std::collections::BTreeMap;
 
 use blockpart_metrics::{percentile_sorted, Table};
 use blockpart_types::{ShardCount, ShardId};
-use serde::{Deserialize, Serialize};
 
 /// Per-shard execution counters.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ShardReport {
     /// The shard.
     pub shard: ShardId,
@@ -24,15 +23,12 @@ pub struct ShardReport {
     pub aborted_rounds: u64,
     /// Speculative executions the engine ran ahead of the commit point
     /// (0 under the serial engine; absent in pre-split reports).
-    #[serde(default)]
     pub exec_speculated: u64,
     /// Cached speculations invalidated by an intervening write to their
     /// read/write footprint.
-    #[serde(default)]
     pub exec_conflicts: u64,
     /// Transactions re-executed at their commit point because their
     /// speculation was invalidated or flushed.
-    #[serde(default)]
     pub exec_re_executions: u64,
 }
 
@@ -42,7 +38,7 @@ pub struct ShardReport {
 /// edge-cut/balance metrics: the same partition quality, expressed as
 /// coordination cost — cross-shard ratio, 2PC aborts, commit latency and
 /// delivered throughput.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RuntimeReport {
     /// Shard count of the run.
     pub k: ShardCount,
@@ -83,14 +79,11 @@ pub struct RuntimeReport {
     pub throughput_tps: f64,
     /// Speculative executions across all shards (0 under the serial
     /// engine; absent in pre-split reports).
-    #[serde(default)]
     pub exec_speculated: u64,
     /// Speculations invalidated by an intervening write, across shards.
-    #[serde(default)]
     pub exec_conflicts: u64,
     /// Commit-point re-executions after a wasted speculation, across
     /// shards.
-    #[serde(default)]
     pub exec_re_executions: u64,
     /// Per-shard breakdown.
     pub per_shard: Vec<ShardReport>,

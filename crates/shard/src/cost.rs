@@ -11,12 +11,10 @@
 //! abstract metrics become a concrete "would sharding have helped?"
 //! answer.
 
-use serde::{Deserialize, Serialize};
-
 use crate::simulator::{SimulationResult, WindowRecord};
 
 /// How multi-shard transactions are executed.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum CrossShardMode {
     /// Involved shards coordinate (2PC-style): a cross-shard transaction
     /// consumes `coordination_factor` times the work of a local one *on
@@ -50,7 +48,7 @@ pub enum CrossShardMode {
 /// assert!(model.shard_capacity > 0.0);
 /// assert_eq!(model.exec_lanes, 1.0); // serial execution by default
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// Transactions per window one shard can execute.
     pub shard_capacity: f64,
@@ -65,7 +63,6 @@ pub struct CostModel {
     /// (e.g. `3.4` effective lanes from 4 physical ones). Degenerate
     /// values (zero, negative, non-finite — including a zero from a
     /// pre-field document) are treated as serial.
-    #[serde(default)]
     pub exec_lanes: f64,
 }
 
@@ -82,7 +79,7 @@ impl Default for CostModel {
 }
 
 /// The estimated performance of one window under a [`CostModel`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WindowThroughput {
     /// Work units demanded of the busiest shard.
     pub bottleneck_load: f64,

@@ -9,7 +9,6 @@
 use std::collections::BTreeMap;
 
 use blockpart_types::{Address, ShardId};
-use serde::{Deserialize, Serialize};
 
 /// Moved addresses grouped by `(from, to)` shard pair, each group sorted
 /// by address. Construction is order-insensitive, so deltas computed
@@ -30,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(delta.total_moved(), 1);
 /// assert_eq!(delta.pairs().next().unwrap().0, (ShardId::new(0), ShardId::new(1)));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AssignmentDelta {
     moves: BTreeMap<(ShardId, ShardId), Vec<Address>>,
 }
@@ -108,7 +107,7 @@ impl AssignmentDelta {
 
 /// One unit of live state migration: a bounded set of addresses leaving
 /// `from` for `to` in a single prepare/commit round.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MigrationBatch {
     /// Source shard (current owner of the state).
     pub from: ShardId,

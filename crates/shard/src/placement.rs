@@ -2,7 +2,6 @@
 
 use blockpart_partition::HashPartitioner;
 use blockpart_types::{Address, ShardCount, ShardId};
-use serde::{Deserialize, Serialize};
 
 use crate::state::ShardedState;
 
@@ -19,7 +18,7 @@ use crate::state::ShardedState;
 /// let s = PlacementRule::Hash.place(&st, Address::from_index(1), None);
 /// assert!(ShardCount::TWO.contains(s));
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PlacementRule {
     /// `hash(address) mod k` — placement never depends on the graph, so a
     /// vertex's shard is stable forever (the HASH and KL methods).

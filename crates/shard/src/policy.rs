@@ -1,7 +1,6 @@
 //! Repartitioning policies and scopes.
 
 use blockpart_types::{Duration, Timestamp};
-use serde::{Deserialize, Serialize};
 
 /// When the simulator re-runs the partitioner.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 ///     1.9,
 /// ));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum RepartitionPolicy {
     /// Never repartition (the HASH method).
     Never,
@@ -82,7 +81,7 @@ impl Default for RepartitionPolicy {
 }
 
 /// Which graph the partitioner sees at a repartition.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RepartitionScope {
     /// The whole cumulative graph (the METIS and KL methods).
     #[default]

@@ -6,7 +6,6 @@ use blockpart_graph::{GraphBuilder, Interaction, InteractionLog};
 use blockpart_obs::{Collector, Noop, Record};
 use blockpart_partition::{PartitionRequest, Partitioner};
 use blockpart_types::{Address, Duration, ShardCount, Timestamp};
-use serde::{Deserialize, Serialize};
 
 use crate::delta::AssignmentDelta;
 use crate::placement::PlacementRule;
@@ -100,7 +99,7 @@ impl SimulatorConfig {
 }
 
 /// The metrics recorded at the close of one measurement window.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WindowRecord {
     /// Window start time.
     pub start: Timestamp,
@@ -128,7 +127,7 @@ pub struct WindowRecord {
 }
 
 /// The outcome of a full simulation run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimulationResult {
     /// Per-window records in time order.
     pub windows: Vec<WindowRecord>,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A 20-byte Ethereum-style address identifying an account or a contract.
 ///
 /// Addresses are opaque identifiers: the graph layer maps them to dense
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_ne!(a, b);
 /// assert_eq!(a.to_string().len(), 2 + 40); // "0x" + 40 hex digits
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Address([u8; 20]);
 
 impl Address {
@@ -112,7 +110,7 @@ impl From<[u8; 20]> for Address {
 /// assert!(AccountKind::Contract.is_contract());
 /// assert!(!AccountKind::ExternallyOwned.is_contract());
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum AccountKind {
     /// A user-controlled account (EOA): it only holds a balance and a nonce.
     #[default]

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies one shard (partition) of the system.
 ///
 /// # Examples
@@ -16,9 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.as_usize(), 3);
 /// assert_eq!(s.to_string(), "shard-3");
 /// ```
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShardId(u16);
 
 impl ShardId {
@@ -66,7 +62,7 @@ impl From<u16> for ShardId {
 /// assert_eq!(shards.len(), 4);
 /// assert!(ShardCount::new(0).is_none());
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShardCount(u16);
 
 impl ShardCount {

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, in seconds since the simulation epoch.
 ///
 /// In the canned experiments the epoch is Ethereum's genesis
@@ -20,9 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_secs(), 14 * 86_400);
 /// assert!(t > Timestamp::from_secs(0));
 /// ```
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Timestamp(u64);
 
 impl Timestamp {
@@ -105,9 +101,7 @@ impl Sub<Duration> for Timestamp {
 /// assert_eq!(Duration::hours(4).as_secs(), 4 * 3600);
 /// assert_eq!(Duration::weeks(2), Duration::days(14));
 /// ```
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Duration(u64);
 
 impl Duration {

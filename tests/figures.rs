@@ -3,9 +3,9 @@
 
 use blockpart::core::experiments::{
     fig1_growth, fig1_table, fig2_dot, fig3_run, fig3_table, fig4_cells, fig4_periods, fig4_table,
-    fig5_rows, fig5_table,
+    mean_window_metrics,
 };
-use blockpart::core::{Method, Study};
+use blockpart::core::{Experiment, Method};
 use blockpart::ethereum::gen::{ChainGenerator, EraTimeline, GeneratorConfig};
 use blockpart::metrics::calendar::month_start;
 use blockpart::types::{ShardCount, Timestamp};
@@ -80,8 +80,8 @@ fn fig3_hash_vs_metis_tradeoff() {
     let chain = small_history();
     let result = fig3_run(&chain.log, 3);
 
-    let hash = result.get(Method::Hash, ShardCount::TWO).expect("ran");
-    let metis = result.get(Method::Metis, ShardCount::TWO).expect("ran");
+    let hash = result.offline("HASH", ShardCount::TWO).expect("ran");
+    let metis = result.offline("METIS", ShardCount::TWO).expect("ran");
 
     // hashing: optimum static balance once the population is large (the
     // first year at tiny scale has only tens of vertices, where binomial
@@ -115,7 +115,7 @@ fn fig3_hash_vs_metis_tradeoff() {
     );
 
     // monthly tables render for both methods
-    for m in [Method::Hash, Method::Metis] {
+    for m in ["HASH", "METIS"] {
         let t = fig3_table(&result, m).expect("ran");
         assert!(t.len() >= 25, "{m} table rows: {}", t.len());
     }
@@ -124,8 +124,7 @@ fn fig3_hash_vs_metis_tradeoff() {
 #[test]
 fn fig4_and_fig5_aggregate_full_grid() {
     let chain = small_history();
-    let result = Study::new(&chain.log)
-        .methods(Method::ALL.to_vec())
+    let result = Experiment::over_log(&chain.log)
         .shard_counts(vec![ShardCount::TWO, ShardCount::new(8).expect("8")])
         .seed(5)
         .run();
@@ -143,37 +142,29 @@ fn fig4_and_fig5_aggregate_full_grid() {
     assert_eq!(t2.len(), 20); // 5 methods × 4 periods
 
     // fig 5: aggregates for the full grid
-    let rows = fig5_rows(&result);
-    assert_eq!(rows.len(), 10);
-    let table = fig5_table(&rows);
-    assert_eq!(table.len(), 10);
+    assert_eq!(result.offline_table().len(), 10);
 
     // paper shape: hashing's cut grows toward 1 - 1/k
     let hash_cut = |kk: u16| {
-        rows.iter()
-            .find(|r| r.method == Method::Hash && r.k.get() == kk)
-            .expect("present")
-            .dynamic_edge_cut
+        let sim = result.offline("HASH", ShardCount::new(kk).expect("non-zero"));
+        mean_window_metrics(sim.expect("present")).0
     };
     assert!(hash_cut(2) < hash_cut(8));
 
     // paper shape: METIS moves the most; TR-METIS fewer than R-METIS
-    let moves = |m: Method| {
-        rows.iter()
-            .filter(|r| r.method == m)
-            .map(|r| r.moves)
-            .sum::<u64>()
+    let sims = |m: Method| {
+        result
+            .runs
+            .iter()
+            .filter(move |r| r.strategy == m.label())
+            .map(|r| r.offline.as_ref().expect("offline stage enabled"))
     };
+    let moves = |m: Method| sims(m).map(|sim| sim.total_moves).sum::<u64>();
     assert!(moves(Method::Metis) > moves(Method::TrMetis));
     assert_eq!(moves(Method::Hash), 0);
 
     // paper shape: TR-METIS repartitions no more than R-METIS
-    let reparts = |m: Method| {
-        rows.iter()
-            .filter(|r| r.method == m)
-            .map(|r| r.repartitions)
-            .sum::<usize>()
-    };
+    let reparts = |m: Method| sims(m).map(|sim| sim.repartitions).sum::<usize>();
     assert!(reparts(Method::TrMetis) <= reparts(Method::RMetis));
 }
 

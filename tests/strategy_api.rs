@@ -1,11 +1,10 @@
 //! Integration tests for the open strategy API: registry round-trips,
-//! parity between the unified `Experiment` pipeline and the legacy
-//! `Study`/`RuntimeStudy` drivers, and assignment-totality properties
-//! for every registered strategy.
+//! user strategies through the `Experiment` pipeline, and
+//! assignment-totality properties for every registered strategy.
 
 use std::sync::Arc;
 
-use blockpart::core::{Experiment, Method, RuntimeStudy, StrategyRegistry, StrategySpec, Study};
+use blockpart::core::{Experiment, StrategyRegistry, StrategySpec};
 use blockpart::ethereum::gen::{ChainGenerator, GeneratorConfig};
 use blockpart::graph::Csr;
 use blockpart::partition::{Partition, PartitionRequest, Partitioner};
@@ -90,66 +89,6 @@ fn registry_round_trip_custom_strategy_end_to_end() {
     let json = report.to_json();
     assert!(json.contains("\"strategy\":\"ROUND-ROBIN\""), "{json}");
     assert!(json.contains("\"runtime\":"), "{json}");
-}
-
-/// Satellite acceptance: the unified pipeline reproduces the legacy
-/// `Study` numbers for HASH and METIS at k = 2 on the seed workload.
-#[test]
-fn experiment_reproduces_study_numbers() {
-    let chain = ChainGenerator::new(GeneratorConfig::test_scale(17)).generate();
-    let registry = StrategyRegistry::with_builtins();
-
-    let legacy = Study::new(&chain.log)
-        .methods(vec![Method::Hash, Method::Metis])
-        .shard_counts(vec![k(2)])
-        .seed(17)
-        .run();
-    let unified = Experiment::over_log(&chain.log)
-        .named_strategies(&registry, "hash,metis")
-        .expect("resolve")
-        .shard_counts(vec![k(2)])
-        .seed(17)
-        .run();
-
-    for m in [Method::Hash, Method::Metis] {
-        let a = legacy.get(m, k(2)).expect("legacy ran");
-        let b = unified.offline(m.label(), k(2)).expect("unified ran");
-        assert_eq!(a.total_moves, b.total_moves, "{m}");
-        assert_eq!(a.repartitions, b.repartitions, "{m}");
-        assert_eq!(a.vertex_count, b.vertex_count, "{m}");
-        assert_eq!(a.edge_count, b.edge_count, "{m}");
-        assert_eq!(a.windows, b.windows, "{m}: per-window series differ");
-    }
-}
-
-/// Same parity for the execution-level comparison: `RuntimeStudy` and
-/// `Experiment` with replay produce identical `RuntimeReport`s.
-#[test]
-fn experiment_reproduces_runtime_study_numbers() {
-    let chain = ChainGenerator::new(GeneratorConfig::test_scale(19)).generate();
-    let registry = StrategyRegistry::with_builtins();
-
-    let legacy = RuntimeStudy::new(&chain)
-        .methods(vec![Method::Hash, Method::Metis])
-        .shard_counts(vec![k(2)])
-        .seed(19)
-        .run();
-    let unified = Experiment::over_chain(&chain)
-        .named_strategies(&registry, "hash,metis")
-        .expect("resolve")
-        .shard_counts(vec![k(2)])
-        .seed(19)
-        .offline(false)
-        .replay(true)
-        .net_latency_us(1_000)
-        .inter_arrival_us(500)
-        .run();
-
-    for m in [Method::Hash, Method::Metis] {
-        let a = legacy.get(m, k(2)).expect("legacy ran");
-        let b = unified.runtime(m.label(), k(2)).expect("unified ran");
-        assert_eq!(a, b, "{m}: runtime reports differ");
-    }
 }
 
 /// Random undirected edge lists over up to `max_nodes` vertices.
