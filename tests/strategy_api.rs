@@ -1,5 +1,6 @@
 //! Integration tests for the open strategy API: registry round-trips,
-//! user strategies through the `Experiment` pipeline, and
+//! user strategies through the `Experiment` pipeline, pinned numbers
+//! from the former `Study`/`RuntimeStudy` drivers, and
 //! assignment-totality properties for every registered strategy.
 
 use std::sync::Arc;
@@ -89,6 +90,128 @@ fn registry_round_trip_custom_strategy_end_to_end() {
     let json = report.to_json();
     assert!(json.contains("\"strategy\":\"ROUND-ROBIN\""), "{json}");
     assert!(json.contains("\"runtime\":"), "{json}");
+}
+
+/// The `Experiment` pipeline reproduces, exactly, the offline numbers
+/// the former `Study` driver reported for HASH and METIS at k = 2 on
+/// the seed-17 test workload.
+#[test]
+fn experiment_reproduces_study_numbers() {
+    let chain = ChainGenerator::new(GeneratorConfig::test_scale(17)).generate();
+    let registry = StrategyRegistry::with_builtins();
+    let report = Experiment::over_log(&chain.log)
+        .named_strategies(&registry, "hash,metis")
+        .expect("resolve")
+        .shard_counts(vec![k(2)])
+        .seed(17)
+        .run();
+
+    // (strategy, moves, repartitions, last window's dynamic edge-cut,
+    //  static edge-cut, cumulative dynamic edge-cut, static balance)
+    let pinned = [
+        (
+            "HASH",
+            0,
+            0,
+            0.4973544973544973,
+            0.5016973378595676,
+            0.5039117609336925,
+            1.005706134094151,
+        ),
+        (
+            "METIS",
+            693,
+            1,
+            0.42857142857142855,
+            0.38484902626407,
+            0.433371809670386,
+            1.072753209700428,
+        ),
+    ];
+    for (name, moves, repartitions, dec, sec, cdec, sb) in pinned {
+        let r = report.offline(name, k(2)).expect("offline stage ran");
+        assert_eq!(r.total_moves, moves, "{name}");
+        assert_eq!(r.total_relocated_units, moves, "{name}");
+        assert_eq!(r.repartitions, repartitions, "{name}");
+        assert_eq!((r.vertex_count, r.edge_count), (1402, 5597), "{name}");
+        assert_eq!(r.windows.len(), 84, "{name}");
+        let events: usize = r.windows.iter().map(|w| w.events).sum();
+        let window_moves: u64 = r.windows.iter().map(|w| w.moves).sum();
+        assert_eq!((events, window_moves), (7817, moves), "{name}");
+        let last = r.windows.last().expect("windows");
+        assert_eq!(last.dynamic_edge_cut, dec, "{name}");
+        assert_eq!(last.static_edge_cut, sec, "{name}");
+        assert_eq!(last.cumulative_dynamic_edge_cut, cdec, "{name}");
+        assert_eq!(last.static_balance, sb, "{name}");
+    }
+}
+
+/// The `Experiment` replay stage reproduces, exactly, the runtime
+/// reports the former `RuntimeStudy` driver produced for HASH and METIS
+/// at k = 2 on the seed-19 test workload (1 ms links, 500 µs arrivals).
+#[test]
+fn experiment_reproduces_runtime_study_numbers() {
+    let chain = ChainGenerator::new(GeneratorConfig::test_scale(19)).generate();
+    let registry = StrategyRegistry::with_builtins();
+    let report = Experiment::over_chain(&chain)
+        .named_strategies(&registry, "hash,metis")
+        .expect("resolve")
+        .shard_counts(vec![k(2)])
+        .seed(19)
+        .offline(false)
+        .replay(true)
+        .net_latency_us(1_000)
+        .inter_arrival_us(500)
+        .run();
+
+    // (strategy, cross-shard txs, prepare rounds, aborted rounds,
+    //  local conflicts, stray touches, makespan µs, headline)
+    let pinned = [
+        (
+            "HASH",
+            3410,
+            3918,
+            508,
+            1325,
+            390,
+            3_017_326,
+            "k=2 committed=6009/6009 cross=56.7% aborts=13.0% [lock-conflict=508] \
+             p50=4230µs p99=28739µs 1991 tx/s",
+        ),
+        (
+            "METIS",
+            1128,
+            1171,
+            43,
+            466,
+            389,
+            3_007_230,
+            "k=2 committed=6009/6009 cross=18.8% aborts=3.7% [lock-conflict=43] \
+             p50=315µs p99=4924µs 1998 tx/s",
+        ),
+    ];
+    for (name, cross, prepares, aborts, local, stray, makespan, headline) in pinned {
+        let r = report.runtime(name, k(2)).expect("replay ran");
+        assert_eq!(
+            (r.total_txs, r.committed, r.failed),
+            (6009, 6009, 0),
+            "{name}"
+        );
+        assert_eq!(r.cross_shard_txs, cross, "{name}");
+        assert_eq!(
+            (r.prepare_rounds, r.aborted_rounds),
+            (prepares, aborts),
+            "{name}"
+        );
+        assert_eq!(
+            (r.local_conflicts, r.stray_touches),
+            (local, stray),
+            "{name}"
+        );
+        assert_eq!(r.makespan_us, makespan, "{name}");
+        assert_eq!(r.exec_speculated, 0, "{name}");
+        assert_eq!(r.headline(), headline, "{name}");
+    }
 }
 
 /// Random undirected edge lists over up to `max_nodes` vertices.
