@@ -117,8 +117,10 @@ impl Subgraph {
 }
 
 /// Runs `config.init_trials` GGG+FM attempts and returns the side
-/// assignment (0/1 per local vertex) with the smallest cut among those
-/// within tolerance, or the best-balanced one if none meet it.
+/// assignment (0/1 per local vertex) of the trial with the smallest cut.
+/// Ties go to the smaller gap between side 0's weight and `target0`, then
+/// to the earlier trial. No balance tolerance is checked: a trial's
+/// balance only breaks ties.
 fn best_bisection(
     sub: &Subgraph,
     target0: u64,
@@ -132,14 +134,19 @@ fn best_bisection(
     }
     let mut best: Option<(u64, u64, Vec<u8>)> = None; // (cut, balance error, side)
     let trials = config.init_trials.max(1);
-    // FM's pass is O(n²); on the rare occasions coarsening stalls and the
-    // "coarsest" graph is large, skip FM here and let the O(V + E) k-way
-    // refinement of the uncoarsening phase do the polishing.
-    let run_fm = n <= 4096;
+    // FM is skipped on the rare graphs above 4096 vertices, where coarsening
+    // stalled, and the O(V + E) k-way refinement of the uncoarsening phase
+    // does the polishing. The guard stays although FM is no longer
+    // quadratic: lifting it would change the partitions that reach it, such
+    // as the set-up partition of perfbench's replay-2pc workload, whose
+    // coarsest graph has 14,110 vertices.
+    let mut fm = (n <= 4096).then(|| Fm::new(csr));
     for _ in 0..trials {
         let mut side = grow(csr, target0, rng);
-        if run_fm {
-            fm_refine(csr, &mut side, target0, config.imbalance, 4);
+        if let Some(fm) = &mut fm {
+            fm_refine(csr, &mut side, target0, config.imbalance, 4, |side, hi| {
+                fm.pass(side, hi)
+            });
         }
         let cut = cut_weight(csr, &side);
         let w0: u64 = (0..n)
@@ -222,6 +229,8 @@ fn grow(csr: &Csr, target0: u64, rng: &mut SmallRng) -> Vec<u8> {
 
 /// FM-style bisection refinement with vertex weights: single-vertex moves,
 /// best-prefix commit, both sides kept within `imbalance` of their target.
+/// `pass` runs one pass against the caps `[hi0, hi1]` and returns its
+/// committed gain; passes repeat until one gains nothing.
 ///
 /// Returns the committed gain.
 pub(crate) fn fm_refine(
@@ -230,19 +239,18 @@ pub(crate) fn fm_refine(
     target0: u64,
     imbalance: f64,
     max_passes: usize,
+    mut pass: impl FnMut(&mut [u8], [u64; 2]) -> i64,
 ) -> i64 {
-    let n = csr.node_count();
-    if n < 2 {
+    if csr.node_count() < 2 {
         return 0;
     }
-    let total: u64 = csr.total_vertex_weight();
-    let target1 = total - target0;
+    let target1 = csr.total_vertex_weight() - target0;
     let hi0 = ((target0 as f64) * imbalance).ceil() as u64;
     let hi1 = ((target1 as f64) * imbalance).ceil() as u64;
 
     let mut total_gain = 0i64;
     for _ in 0..max_passes {
-        let pass_gain = fm_pass(csr, side, hi0, hi1);
+        let pass_gain = pass(side, [hi0, hi1]);
         if pass_gain <= 0 {
             break;
         }
@@ -251,10 +259,62 @@ pub(crate) fn fm_refine(
     total_gain
 }
 
-fn fm_pass(csr: &Csr, side: &mut [u8], hi0: u64, hi1: u64) -> i64 {
-    let n = csr.node_count();
-    let mut gain: Vec<i64> = (0..n)
-        .map(|v| {
+/// The FM pass over one graph, with its buffers kept across passes and
+/// trials.
+///
+/// Each move takes the unlocked vertex of greatest gain, ties to the
+/// smallest id, among those whose destination side stays within its cap.
+/// A vertex fits iff its weight is at most the destination's slack, so
+/// with the vertices ranked by weight the movable ones on each side are a
+/// prefix of that ranking. One max-tree per side over the ranking answers
+/// "best move on this side" as a prefix maximum in `O(log n)`, and a gain
+/// change is a leaf update, so a pass costs `O((V + E) log V)`.
+struct Fm<'a> {
+    csr: &'a Csr,
+    /// Rank of each vertex in ascending (weight, id) order.
+    rank: Vec<u32>,
+    /// Vertex weights in rank order.
+    ranked_weight: Vec<u64>,
+    gain: Vec<i64>,
+    locked: Vec<bool>,
+    /// Unlocked vertices currently on side 0 and on side 1.
+    trees: [MaxTree; 2],
+    moves: Vec<usize>,
+    gains: Vec<i64>,
+}
+
+impl<'a> Fm<'a> {
+    fn new(csr: &'a Csr) -> Fm<'a> {
+        let n = csr.node_count();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by_key(|&v| csr.vertex_weight(v as usize));
+        let mut rank = vec![0u32; n];
+        for (r, &v) in order.iter().enumerate() {
+            rank[v as usize] = r as u32;
+        }
+        Fm {
+            csr,
+            rank,
+            ranked_weight: order
+                .iter()
+                .map(|&v| csr.vertex_weight(v as usize))
+                .collect(),
+            gain: vec![0; n],
+            locked: vec![false; n],
+            trees: [MaxTree::new(n), MaxTree::new(n)],
+            moves: Vec::with_capacity(n),
+            gains: Vec::with_capacity(n),
+        }
+    }
+
+    fn pass(&mut self, side: &mut [u8], hi: [u64; 2]) -> i64 {
+        let csr = self.csr;
+        let n = csr.node_count();
+        let mut weights = [0u64, 0];
+        for tree in &mut self.trees {
+            tree.clear();
+        }
+        for v in 0..n {
             let mut g = 0i64;
             for (u, w) in csr.neighbors(v) {
                 if side[u as usize] == side[v] {
@@ -263,56 +323,143 @@ fn fm_pass(csr: &Csr, side: &mut [u8], hi0: u64, hi1: u64) -> i64 {
                     g += w as i64;
                 }
             }
-            g
-        })
-        .collect();
-    let mut weights = [0u64, 0];
-    for v in 0..n {
-        weights[side[v] as usize] += csr.vertex_weight(v);
-    }
-    let hi = [hi0, hi1];
-
-    let mut locked = vec![false; n];
-    let mut moves: Vec<usize> = Vec::new();
-    let mut gains: Vec<i64> = Vec::new();
-
-    for _ in 0..n {
-        // Best unlocked move that keeps the destination side within bound.
-        let mut best: Option<(usize, i64)> = None;
-        for v in 0..n {
-            if locked[v] {
-                continue;
-            }
-            let to = 1 - side[v] as usize;
-            if weights[to] + csr.vertex_weight(v) > hi[to] {
-                continue;
-            }
-            if best.is_none_or(|(_, g)| gain[v] > g) {
-                best = Some((v, gain[v]));
-            }
+            self.gain[v] = g;
+            self.locked[v] = false;
+            weights[side[v] as usize] += csr.vertex_weight(v);
+            self.trees[side[v] as usize].put(self.rank[v] as usize, key(g, v));
         }
-        let Some((v, g)) = best else { break };
-        let from = side[v] as usize;
-        let to = 1 - from;
-        weights[from] -= csr.vertex_weight(v);
-        weights[to] += csr.vertex_weight(v);
-        side[v] = to as u8;
-        locked[v] = true;
-        moves.push(v);
-        gains.push(g);
-        for (u, w) in csr.neighbors(v) {
-            let u = u as usize;
-            if !locked[u] {
-                if side[u] == side[v] {
-                    gain[u] -= 2 * w as i64;
-                } else {
-                    gain[u] += 2 * w as i64;
+        for tree in &mut self.trees {
+            tree.build();
+        }
+        self.moves.clear();
+        self.gains.clear();
+
+        loop {
+            // Best unlocked move that keeps the destination side within bound.
+            let mut best = EMPTY;
+            for (from, tree) in self.trees.iter().enumerate() {
+                let to = 1 - from;
+                if let Some(slack) = hi[to].checked_sub(weights[to]) {
+                    // the slack usually fits every weight: skip the search
+                    let fits = if self.ranked_weight.last().is_none_or(|&w| w <= slack) {
+                        n
+                    } else {
+                        self.ranked_weight.partition_point(|&w| w <= slack)
+                    };
+                    best = best.max(tree.prefix_max(fits));
+                }
+            }
+            if best == EMPTY {
+                break;
+            }
+            let v = vertex_of(best);
+            let from = side[v] as usize;
+            let to = 1 - from;
+            weights[from] -= csr.vertex_weight(v);
+            weights[to] += csr.vertex_weight(v);
+            side[v] = to as u8;
+            self.locked[v] = true;
+            self.trees[from].set(self.rank[v] as usize, EMPTY);
+            self.moves.push(v);
+            self.gains.push(self.gain[v]);
+            for (u, w) in csr.neighbors(v) {
+                let u = u as usize;
+                if !self.locked[u] {
+                    if side[u] == side[v] {
+                        self.gain[u] -= 2 * w as i64;
+                    } else {
+                        self.gain[u] += 2 * w as i64;
+                    }
+                    self.trees[side[u] as usize].set(self.rank[u] as usize, key(self.gain[u], u));
                 }
             }
         }
+        commit_best_prefix(side, &self.moves, &self.gains)
+    }
+}
+
+/// A move's priority: greater gain first, then smaller vertex id.
+fn key(gain: i64, v: usize) -> i128 {
+    (i128::from(gain) << 32) | i128::from(u32::MAX - v as u32)
+}
+
+fn vertex_of(key: i128) -> usize {
+    (u32::MAX - key as u32) as usize
+}
+
+/// The key of an empty slot, below every real key.
+const EMPTY: i128 = i128::MIN;
+
+/// A max segment tree over `n` slots (leaves at `n..2n`).
+struct MaxTree {
+    t: Vec<i128>,
+}
+
+impl MaxTree {
+    fn new(n: usize) -> MaxTree {
+        MaxTree {
+            t: vec![EMPTY; 2 * n],
+        }
     }
 
-    // best prefix
+    fn clear(&mut self) {
+        self.t.fill(EMPTY);
+    }
+
+    /// Writes a leaf without fixing its ancestors; call [`MaxTree::build`]
+    /// after the last one.
+    fn put(&mut self, slot: usize, key: i128) {
+        let n = self.t.len() / 2;
+        self.t[n + slot] = key;
+    }
+
+    fn build(&mut self) {
+        for i in (1..self.t.len() / 2).rev() {
+            self.t[i] = self.t[2 * i].max(self.t[2 * i + 1]);
+        }
+    }
+
+    fn set(&mut self, slot: usize, key: i128) {
+        let mut i = self.t.len() / 2 + slot;
+        self.t[i] = key;
+        while i > 1 {
+            i /= 2;
+            let max = self.t[2 * i].max(self.t[2 * i + 1]);
+            if self.t[i] == max {
+                break; // the ancestors already hold the right maxima
+            }
+            self.t[i] = max;
+        }
+    }
+
+    /// The greatest key among slots `0..end`.
+    fn prefix_max(&self, end: usize) -> i128 {
+        let n = self.t.len() / 2;
+        if end == n {
+            // every leaf descends from the root
+            return self.t.get(1).copied().unwrap_or(EMPTY);
+        }
+        let (mut l, mut r) = (n, n + end);
+        let mut best = EMPTY;
+        while l < r {
+            if l & 1 == 1 {
+                best = best.max(self.t[l]);
+                l += 1;
+            }
+            if r & 1 == 1 {
+                r -= 1;
+                best = best.max(self.t[r]);
+            }
+            l /= 2;
+            r /= 2;
+        }
+        best
+    }
+}
+
+/// Keeps the prefix of `moves` with the greatest cumulative gain, rolls
+/// back the rest, and returns that prefix's gain (0 if none is positive).
+fn commit_best_prefix(side: &mut [u8], moves: &[usize], gains: &[i64]) -> i64 {
     let mut best_total = 0i64;
     let mut best_len = 0usize;
     let mut running = 0i64;
@@ -323,7 +470,6 @@ fn fm_pass(csr: &Csr, side: &mut [u8], hi0: u64, hi1: u64) -> i64 {
             best_len = i + 1;
         }
     }
-    // roll back moves beyond the best prefix
     for &v in moves.iter().skip(best_len).rev() {
         side[v] = 1 - side[v];
     }
@@ -340,6 +486,7 @@ fn cut_weight(csr: &Csr, side: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn rng() -> SmallRng {
@@ -408,17 +555,7 @@ mod tests {
         let edges: Vec<(u32, u32, u64)> = (1..11).map(|i| (0, i, 1)).collect();
         let mut vwgt = vec![1u64; 11];
         vwgt[0] = 10;
-        let base = Csr::from_edges(11, &edges);
-        let csr = Csr::from_parts(
-            (0..=11).map(|v| base_xadj(&base, v)).collect(),
-            (0..11)
-                .flat_map(|v| base.neighbors(v).map(|(u, _)| u))
-                .collect(),
-            (0..11)
-                .flat_map(|v| base.neighbors(v).map(|(_, w)| w))
-                .collect(),
-            vwgt,
-        );
+        let csr = reweighted(&Csr::from_edges(11, &edges), vwgt);
         let p = recursive_bisection(
             &csr,
             ShardCount::TWO,
@@ -430,21 +567,125 @@ mod tests {
         assert!(weights.iter().all(|&w| w <= 13), "weights {weights:?}");
     }
 
-    fn base_xadj(csr: &Csr, v: usize) -> usize {
-        if v == 0 {
-            0
-        } else {
-            (0..v).map(|u| csr.degree(u)).sum()
-        }
-    }
-
     #[test]
     fn fm_refine_improves_bad_split() {
         let csr = two_cliques();
         let mut side = vec![0u8, 1, 0, 1, 0, 1, 0, 1];
-        let gain = fm_refine(&csr, &mut side, 4, 1.1, 8);
+        let mut fm = Fm::new(&csr);
+        let gain = fm_refine(&csr, &mut side, 4, 1.1, 8, |side, hi| fm.pass(side, hi));
         assert!(gain > 0);
         assert_eq!(cut_weight(&csr, &side), 1);
+    }
+
+    /// The reference FM pass: each move scans every vertex for the best
+    /// feasible one, `O(n)` per move.
+    fn fm_pass_scan(csr: &Csr, side: &mut [u8], hi: [u64; 2]) -> i64 {
+        let n = csr.node_count();
+        let mut gain: Vec<i64> = (0..n)
+            .map(|v| {
+                let mut g = 0i64;
+                for (u, w) in csr.neighbors(v) {
+                    if side[u as usize] == side[v] {
+                        g -= w as i64;
+                    } else {
+                        g += w as i64;
+                    }
+                }
+                g
+            })
+            .collect();
+        let mut weights = [0u64, 0];
+        for v in 0..n {
+            weights[side[v] as usize] += csr.vertex_weight(v);
+        }
+        let mut locked = vec![false; n];
+        let mut moves: Vec<usize> = Vec::new();
+        let mut gains: Vec<i64> = Vec::new();
+        for _ in 0..n {
+            let mut best: Option<(usize, i64)> = None;
+            for v in 0..n {
+                if locked[v] {
+                    continue;
+                }
+                let to = 1 - side[v] as usize;
+                if weights[to] + csr.vertex_weight(v) > hi[to] {
+                    continue;
+                }
+                if best.is_none_or(|(_, g)| gain[v] > g) {
+                    best = Some((v, gain[v]));
+                }
+            }
+            let Some((v, g)) = best else { break };
+            let from = side[v] as usize;
+            let to = 1 - from;
+            weights[from] -= csr.vertex_weight(v);
+            weights[to] += csr.vertex_weight(v);
+            side[v] = to as u8;
+            locked[v] = true;
+            moves.push(v);
+            gains.push(g);
+            for (u, w) in csr.neighbors(v) {
+                let u = u as usize;
+                if !locked[u] {
+                    if side[u] == side[v] {
+                        gain[u] -= 2 * w as i64;
+                    } else {
+                        gain[u] += 2 * w as i64;
+                    }
+                }
+            }
+        }
+        commit_best_prefix(side, &moves, &gains)
+    }
+
+    /// `csr` with its vertex weights replaced by `vwgt`.
+    fn reweighted(csr: &Csr, vwgt: Vec<u64>) -> Csr {
+        let n = csr.node_count();
+        let mut xadj = vec![0usize];
+        for v in 0..n {
+            xadj.push(xadj[v] + csr.degree(v));
+        }
+        let adjncy = (0..n).flat_map(|v| csr.neighbors(v).map(|(u, _)| u));
+        let adjwgt = (0..n).flat_map(|v| csr.neighbors(v).map(|(_, w)| w));
+        Csr::from_parts(xadj, adjncy.collect(), adjwgt.collect(), vwgt)
+    }
+
+    fn weighted_graph() -> impl Strategy<Value = Csr> {
+        (2usize..80).prop_flat_map(|n| {
+            let edges = proptest::collection::vec((0..n as u32, 0..n as u32, 1u64..20), 0..4 * n);
+            let vwgt = proptest::collection::vec(1u64..=50, n);
+            (edges, vwgt).prop_map(move |(edges, vwgt)| {
+                let edges: Vec<_> = edges.into_iter().filter(|&(u, v, _)| u != v).collect();
+                reweighted(&Csr::from_edges(n, &edges), vwgt)
+            })
+        })
+    }
+
+    // The tree-based pass makes the scan's moves exactly: same final sides,
+    // same committed gain, with vertex weights up to 50 so the caps bind.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fm_matches_quadratic_scan(
+            csr in weighted_graph(),
+            sides in proptest::collection::vec(any::<bool>(), 80),
+            target_pct in 10u64..=90,
+        ) {
+            let n = csr.node_count();
+            let target0 = csr.total_vertex_weight() * target_pct / 100;
+            let mut fm = Fm::new(&csr);
+            for imbalance in [1.0, 1.05, 1.3] {
+                let mut fast: Vec<u8> = sides[..n].iter().map(|&s| u8::from(s)).collect();
+                let mut scan = fast.clone();
+                let g_fast = fm_refine(&csr, &mut fast, target0, imbalance, 4, |s, hi| fm.pass(s, hi));
+                let g_scan = fm_refine(&csr, &mut scan, target0, imbalance, 4, |s, hi| {
+                    fm_pass_scan(&csr, s, hi)
+                });
+                prop_assert_eq!(&fast, &scan, "imbalance {}", imbalance);
+                prop_assert_eq!(g_fast, g_scan, "imbalance {}", imbalance);
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use blockpart::core::{Experiment, StrategyRegistry, StrategySpec};
+use blockpart::core::{Experiment, ExperimentReport, StrategyRegistry, StrategySpec};
 use blockpart::ethereum::gen::{ChainGenerator, GeneratorConfig};
 use blockpart::graph::Csr;
 use blockpart::partition::{Partition, PartitionRequest, Partitioner};
@@ -106,8 +106,6 @@ fn experiment_reproduces_study_numbers() {
         .seed(17)
         .run();
 
-    // (strategy, moves, repartitions, last window's dynamic edge-cut,
-    //  static edge-cut, cumulative dynamic edge-cut, static balance)
     let pinned = [
         (
             "HASH",
@@ -128,8 +126,45 @@ fn experiment_reproduces_study_numbers() {
             1.072753209700428,
         ),
     ];
-    for (name, moves, repartitions, dec, sec, cdec, sb) in pinned {
-        let r = report.offline(name, k(2)).expect("offline stage ran");
+    assert_offline_pins(&report, k(2), &pinned);
+}
+
+/// The METIS family at k = 4 on the seed-17 test workload, pinned to the
+/// numbers of the quadratic-scan FM initial bisection it replaced.
+#[test]
+fn metis_family_k4_numbers_are_pinned() {
+    let chain = ChainGenerator::new(GeneratorConfig::test_scale(17)).generate();
+    let registry = StrategyRegistry::with_builtins();
+    let report = Experiment::over_log(&chain.log)
+        .named_strategies(&registry, "metis,r-metis,tr-metis")
+        .expect("resolve")
+        .shard_counts(vec![k(4)])
+        .seed(17)
+        .run();
+
+    // one repartition each, so the three share their numbers
+    let pinned = ["METIS", "R-METIS", "TR-METIS"].map(|name| {
+        (
+            name,
+            1024,
+            1,
+            0.656084656084656,
+            0.577273539396105,
+            0.643196101064512,
+            1.275320970042796,
+        )
+    });
+    assert_offline_pins(&report, k(4), &pinned);
+}
+
+/// (strategy, moves, repartitions, last window's dynamic edge-cut,
+/// static edge-cut, cumulative dynamic edge-cut, static balance)
+type OfflinePin = (&'static str, u64, usize, f64, f64, f64, f64);
+
+/// Checks each pinned strategy's offline run on the seed-17 workload.
+fn assert_offline_pins(report: &ExperimentReport, shards: ShardCount, pinned: &[OfflinePin]) {
+    for &(name, moves, repartitions, dec, sec, cdec, sb) in pinned {
+        let r = report.offline(name, shards).expect("offline stage ran");
         assert_eq!(r.total_moves, moves, "{name}");
         assert_eq!(r.total_relocated_units, moves, "{name}");
         assert_eq!(r.repartitions, repartitions, "{name}");
