@@ -18,12 +18,12 @@
 //! the migration path, not timer noise; [`compare_calibrated`] leaves
 //! them unscaled (see [`is_virtual_stage`]).
 //!
-//! The hot stages are measured twice, once pinned to one worker and once
-//! at the configured worker count, so the parallel speedup is part of
-//! the recorded data (`graph-build-serial` vs `graph-build`, `csr-serial`
-//! vs `csr`, `kway-serial` vs `kway`). All parallel paths are
-//! deterministic in their worker count, so the two rows of each pair
-//! time *the same computation*.
+//! The parallel hot stages are measured twice, once pinned to one worker
+//! and once at the configured worker count, so the parallel speedup is
+//! part of the recorded data (`graph-build-serial` vs `graph-build`,
+//! `csr-serial` vs `csr`). Both parallel paths are deterministic in
+//! their worker count, so the two rows of each pair time *the same
+//! computation*. The multilevel `kway` kernel is serial and timed once.
 //!
 //! The `scenario-*` stages score hostile workloads from the
 //! [`ScenarioRegistry`] (see
@@ -680,30 +680,15 @@ pub fn run(config: &PerfConfig) -> PerfReport {
     }
     ooc.finish().expect("remove spill session");
 
-    // ---- multilevel coarsen+partition kernel: serial vs parallel -------
+    // ---- multilevel coarsen+partition kernel ---------------------------
     for &k in &config.shard_counts {
         let shard_count = ShardCount::new(k).expect("non-zero shard count");
-        let serial = MultilevelConfig {
+        let kway_config = MultilevelConfig {
             seed: config.seed,
-            threads: 1,
             ..MultilevelConfig::default()
         };
-        let parallel = MultilevelConfig {
-            threads: workers,
-            ..serial
-        };
         let (ms, _) = time_stage(config.warmup, config.trials, || {
-            kway(&csr, shard_count, &serial)
-        });
-        push(
-            "kway-serial",
-            Some("metis"),
-            Some(k),
-            ms,
-            throughput(csr.node_count(), ms),
-        );
-        let (ms, _) = time_stage(config.warmup, config.trials, || {
-            kway(&csr, shard_count, &parallel)
+            kway(&csr, shard_count, &kway_config)
         });
         push(
             "kway",

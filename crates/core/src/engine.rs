@@ -1,10 +1,9 @@
-//! The open execution-engine API: [`EngineRegistry`].
+//! The execution-engine registry: [`EngineRegistry`].
 //!
 //! The runtime executes every intra-shard transaction through a
 //! pluggable [`ExecutionEngine`](blockpart_ethereum::ExecutionEngine)
-//! behind an [`ExecHandle`]. This registry resolves engines by name —
-//! the same spec-string convention as the
-//! [`StrategyRegistry`](crate::StrategyRegistry): lookup is
+//! behind an [`ExecHandle`]. [`EngineRegistry`] is the shared name
+//! [`Registry`](crate::Registry) over engine handles: lookup is
 //! case-insensitive and ignores `-`/`_`, and a spec may parameterize the
 //! engine as `name[key=value;key=value]`.
 //!
@@ -27,36 +26,20 @@
 //! assert!(registry.resolve("no-such-engine").is_err());
 //! ```
 
-use std::sync::Arc;
-
 use blockpart_ethereum::ExecHandle;
-use blockpart_metrics::Table;
 
-use crate::strategy::{normalize_name, StrategyError, StrategyParams};
+use crate::registry::{Factory, Registry, RegistryItem, StrategyError, StrategyParams};
 
 /// An engine factory: builds a configured engine handle from parsed
 /// parameters.
-pub type EngineFactory = dyn Fn(&StrategyParams) -> Result<ExecHandle, StrategyError> + Send + Sync;
+pub type EngineFactory = Factory<ExecHandle>;
 
-enum EntryKind {
-    Factory(Arc<EngineFactory>),
-    /// Late-bound alias: the normalized key of the target, resolved at
-    /// lookup time so re-registering the target retargets the alias.
-    Alias(String),
+impl RegistryItem for ExecHandle {
+    const NOUN: &'static str = "engine";
 }
 
-struct Entry {
-    /// Normalized lookup key (`blockstm`).
-    key: String,
-    /// The spelling the engine was registered under (`block-stm`).
-    display: String,
-    description: String,
-    params_help: String,
-    kind: EntryKind,
-}
-
-/// Name → execution-engine resolution, mirroring
-/// [`StrategyRegistry`](crate::StrategyRegistry).
+/// Name → execution-engine resolution: a [`Registry`] over engine
+/// handles.
 ///
 /// # Examples
 ///
@@ -70,30 +53,13 @@ struct Entry {
 /// registry.register("careful", "serial, but audited", ExecHandle::new(SerialEngine));
 /// assert_eq!(registry.resolve("careful").unwrap().name(), "serial");
 /// ```
-pub struct EngineRegistry {
-    entries: Vec<Entry>,
-}
-
-impl std::fmt::Debug for EngineRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineRegistry")
-            .field("engines", &self.names())
-            .finish()
-    }
-}
+pub type EngineRegistry = Registry<ExecHandle>;
 
 impl EngineRegistry {
-    /// An empty registry (no built-ins).
-    pub fn empty() -> Self {
-        EngineRegistry {
-            entries: Vec::new(),
-        }
-    }
-
     /// A registry with the built-in engines: `serial`, `parallel` (with
     /// its `block-stm` alias).
     pub fn with_builtins() -> Self {
-        let mut reg = EngineRegistry::empty();
+        let mut reg = Self::empty();
         reg.register_factory(
             "serial",
             "one transaction at a time, in block order (the default)",
@@ -125,140 +91,6 @@ impl EngineRegistry {
         );
         reg.register_alias("block-stm", "parallel");
         reg
-    }
-
-    /// Registers a fixed engine under `name`, replacing any existing
-    /// entry with the same (normalized) name. The entry rejects
-    /// parameters; use [`register_factory`](Self::register_factory) for
-    /// parameterized engines.
-    pub fn register(&mut self, name: &str, description: &str, engine: ExecHandle) {
-        let owned_name = name.to_string();
-        self.register_factory(name, description, "", move |params| {
-            params.ensure_known_as("engine", &owned_name, &[])?;
-            Ok(engine.clone())
-        });
-    }
-
-    /// Registers a parameterized engine factory under `name`, replacing
-    /// any existing entry with the same (normalized) name. `params_help`
-    /// is the human-readable parameter summary shown by
-    /// [`help_table`](Self::help_table) (empty for none).
-    pub fn register_factory(
-        &mut self,
-        name: &str,
-        description: &str,
-        params_help: &str,
-        factory: impl Fn(&StrategyParams) -> Result<ExecHandle, StrategyError> + Send + Sync + 'static,
-    ) {
-        let key = normalize_name(name);
-        assert!(!key.is_empty(), "engine name must be non-empty");
-        self.entries.retain(|e| e.key != key);
-        self.entries.push(Entry {
-            key,
-            display: name.trim().to_string(),
-            description: description.to_string(),
-            params_help: params_help.to_string(),
-            kind: EntryKind::Factory(Arc::new(factory)),
-        });
-    }
-
-    /// Registers `alias` to resolve exactly like `target`. The binding
-    /// is late: re-registering `target` retargets the alias too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not registered.
-    pub fn register_alias(&mut self, alias: &str, target: &str) {
-        let target_entry = self
-            .entry(target)
-            .unwrap_or_else(|| panic!("alias target `{target}` is not registered"));
-        let description = format!("alias of {}", target_entry.display);
-        let target_key = target_entry.key.clone();
-        let key = normalize_name(alias);
-        assert!(!key.is_empty(), "engine name must be non-empty");
-        self.entries.retain(|e| e.key != key);
-        self.entries.push(Entry {
-            key,
-            display: alias.trim().to_string(),
-            description,
-            params_help: String::new(),
-            kind: EntryKind::Alias(target_key),
-        });
-    }
-
-    fn entry(&self, name: &str) -> Option<&Entry> {
-        let key = normalize_name(name);
-        self.entries.iter().find(|e| e.key == key)
-    }
-
-    /// `true` when `name` resolves (ignoring parameters).
-    pub fn contains(&self, name: &str) -> bool {
-        self.entry(name).is_some()
-    }
-
-    /// The registered engine names as they were registered (registration
-    /// order, aliases included).
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|e| e.display.as_str()).collect()
-    }
-
-    /// Resolves one spec string: `name` or `name[key=value;key=value]`.
-    pub fn resolve(&self, spec: &str) -> Result<ExecHandle, StrategyError> {
-        let spec = spec.trim();
-        let (name, params) = match spec.split_once('[') {
-            None => (spec, StrategyParams::default()),
-            Some((name, rest)) => {
-                let Some(body) = rest.strip_suffix(']') else {
-                    return Err(StrategyError::new(format!(
-                        "unclosed `[` in engine spec `{spec}`"
-                    )));
-                };
-                (name.trim(), StrategyParams::parse(body)?)
-            }
-        };
-        let Some(entry) = self.entry(name) else {
-            return Err(StrategyError::new(format!(
-                "unknown engine `{name}` (registered: {})",
-                self.names().join(", ")
-            )));
-        };
-        (self.factory_of(entry)?)(&params)
-    }
-
-    /// The factory behind an entry, following one alias hop.
-    fn factory_of<'e>(&'e self, entry: &'e Entry) -> Result<&'e EngineFactory, StrategyError> {
-        match &entry.kind {
-            EntryKind::Factory(f) => Ok(f.as_ref()),
-            EntryKind::Alias(target_key) => {
-                let target = self.entries.iter().find(|e| e.key == *target_key);
-                match target.map(|e| &e.kind) {
-                    Some(EntryKind::Factory(f)) => Ok(f.as_ref()),
-                    _ => Err(StrategyError::new(format!(
-                        "alias `{}` points at `{target_key}`, which is no longer registered",
-                        entry.display
-                    ))),
-                }
-            }
-        }
-    }
-
-    /// Renders the registry as a help table (engine, parameters,
-    /// description).
-    pub fn help_table(&self) -> Table {
-        let mut t = Table::new(vec!["engine", "parameters", "description"]);
-        for e in &self.entries {
-            let params_help = match &e.kind {
-                EntryKind::Factory(_) => e.params_help.clone(),
-                EntryKind::Alias(target_key) => self
-                    .entries
-                    .iter()
-                    .find(|t| t.key == *target_key)
-                    .map(|t| t.params_help.clone())
-                    .unwrap_or_default(),
-            };
-            t.row(vec![e.display.clone(), params_help, e.description.clone()]);
-        }
-        t
     }
 }
 

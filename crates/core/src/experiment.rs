@@ -55,8 +55,9 @@ use blockpart_storage::{SegmentStore, DEFAULT_SEGMENT_EVENTS};
 use blockpart_types::{Duration, ShardCount, SpillSession, StorageBackend};
 
 use crate::experiments::mean_window_metrics;
+use crate::registry::{spec_lookup_key, StrategyError};
 use crate::scenario::{ScenarioRegistry, ScenarioSpec};
-use crate::strategy::{spec_lookup_key, StrategyError, StrategyRegistry, StrategySpec};
+use crate::strategy::{StrategyRegistry, StrategySpec};
 
 /// A configured strategy and, when it was resolved from a spec string,
 /// the requested spelling (kept for report lookups).

@@ -44,6 +44,7 @@ mod experiment;
 pub mod experiments;
 mod methods;
 mod profile;
+mod registry;
 mod scenario;
 mod strategy;
 
@@ -51,10 +52,11 @@ pub use engine::{EngineFactory, EngineRegistry};
 pub use experiment::{Experiment, ExperimentReport, ExperimentRun};
 pub use methods::Method;
 pub use profile::{run_profile, ProfileReport};
+pub use registry::{Factory, Registry, RegistryItem, StrategyError, StrategyParams};
 pub use scenario::{ComposedScenario, ScenarioFactory, ScenarioRegistry, ScenarioSpec};
 pub use strategy::{
-    CanonicalStrategy, ResolvedStrategy, StrategyError, StrategyFactory, StrategyParams,
-    StrategyRegistry, StrategySpec, StreamingStrategy,
+    CanonicalStrategy, ResolvedStrategy, StrategyFactory, StrategyRegistry, StrategySpec,
+    StreamingStrategy,
 };
 
 pub use blockpart_types::{Duration, ShardCount, Timestamp};

@@ -26,7 +26,8 @@ use blockpart_runtime::{Assignment, ShardedRuntime};
 use blockpart_shard::ShardSimulator;
 use blockpart_types::{Duration, ShardCount};
 
-use crate::strategy::{StrategyError, StrategyRegistry};
+use crate::registry::StrategyError;
+use crate::strategy::StrategyRegistry;
 
 /// The result of one [`run_profile`] pass: the collected trace plus the
 /// end-to-end wall time the stage table is normalized against.

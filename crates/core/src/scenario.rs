@@ -1,14 +1,16 @@
 //! The scenario registry: named, parameterized adversarial workloads.
 //!
-//! Mirrors the [`StrategyRegistry`](crate::StrategyRegistry) shape: a
-//! [`ScenarioSpec`] turns a [`GeneratorConfig`] into a [`SyntheticChain`]
-//! by composing [`TrafficInjector`]s over the organic timeline, and a
-//! [`ScenarioRegistry`] resolves `name[key=value;...]` spec strings —
-//! case-insensitively, ignoring `-`/`_`, with aliases and user
-//! registration. The built-ins are the paper's anomalies and their
-//! modern descendants: ICO hub bursts, dummy-account spam, DEX/arbitrage
-//! bundles, account-abstraction batches, NFT mint stampedes and
-//! phase-shifting hub mixes.
+//! A [`ScenarioSpec`] turns a [`GeneratorConfig`] into a
+//! [`SyntheticChain`] by composing [`TrafficInjector`]s over the organic
+//! timeline. [`ScenarioRegistry`] is the shared name
+//! [`Registry`](crate::Registry) over scenarios: it resolves
+//! `name[key=value;...]` spec strings case-insensitively, ignoring
+//! `-`/`_`, with aliases and user registration. Its own additions are
+//! `+`-composition ([`compose`](ScenarioRegistry::compose)) and `all`
+//! (every registered factory). The built-ins are the paper's anomalies
+//! and their modern descendants: ICO hub bursts, dummy-account spam,
+//! DEX/arbitrage bundles, account-abstraction batches, NFT mint
+//! stampedes and phase-shifting hub mixes.
 //!
 //! Every scenario is deterministic and seedable: the same
 //! `GeneratorConfig` always produces the same chain, and composing
@@ -21,10 +23,9 @@ use blockpart_ethereum::gen::{
     GeneratorConfig, HubBurstInjector, NftMintInjector, PhaseShiftInjector, Span, TrafficInjector,
 };
 use blockpart_ethereum::SyntheticChain;
-use blockpart_metrics::Table;
 use blockpart_types::Timestamp;
 
-use crate::strategy::{normalize_name, split_top_level, StrategyError, StrategyParams};
+use crate::registry::{Factory, Registry, RegistryItem, StrategyError, StrategyParams};
 
 /// A named adversarial workload: a deterministic, seedable
 /// transformation of the friendly synthetic chain.
@@ -192,28 +193,15 @@ impl ScenarioSpec for ComposedScenario {
 }
 
 /// A scenario factory: builds a spec from parsed parameters.
-pub type ScenarioFactory =
-    dyn Fn(&StrategyParams) -> Result<Arc<dyn ScenarioSpec>, StrategyError> + Send + Sync;
+pub type ScenarioFactory = Factory<Arc<dyn ScenarioSpec>>;
 
-enum EntryKind {
-    Factory(Arc<ScenarioFactory>),
-    /// Late-bound alias: normalized key of the target entry.
-    Alias(String),
+impl RegistryItem for Arc<dyn ScenarioSpec> {
+    const NOUN: &'static str = "scenario";
 }
 
-struct Entry {
-    key: String,
-    display: String,
-    description: String,
-    params_help: String,
-    kind: EntryKind,
-}
-
-/// Name → scenario resolution, the workload-side mirror of
-/// [`StrategyRegistry`](crate::StrategyRegistry).
-///
-/// Lookup is case-insensitive and ignores `-`/`_`; spec strings may
-/// parameterize the scenario (`hub-burst[contracts=3;intensity=1.2]`).
+/// Name → scenario resolution: a [`Registry`] over the
+/// `name[key=value;...]` grammar
+/// (`hub-burst[contracts=3;intensity=1.2]`).
 ///
 /// # Examples
 ///
@@ -227,17 +215,7 @@ struct Entry {
 /// let chain = scenario.build(&GeneratorConfig::test_scale(7).with_scale(0.005));
 /// assert!(chain.log.len() > 0);
 /// ```
-pub struct ScenarioRegistry {
-    entries: Vec<Entry>,
-}
-
-impl std::fmt::Debug for ScenarioRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScenarioRegistry")
-            .field("scenarios", &self.names())
-            .finish()
-    }
-}
+pub type ScenarioRegistry = Registry<Arc<dyn ScenarioSpec>>;
 
 /// Builds the registry label for a built-in: the display name with the
 /// canonical parameter string embedded when parameters were given.
@@ -250,19 +228,12 @@ fn label_of(display: &str, params: &StrategyParams) -> String {
 }
 
 impl ScenarioRegistry {
-    /// An empty registry (no built-ins).
-    pub fn empty() -> Self {
-        ScenarioRegistry {
-            entries: Vec::new(),
-        }
-    }
-
     /// A registry with the built-in scenarios: the friendly baseline,
     /// the paper's two historical anomalies (`hub-burst`, `dummy-spam`)
     /// and their modern descendants (`dex-arb`, `aa-batch`, `nft-mint`,
     /// `phase-shift`).
     pub fn with_builtins() -> Self {
-        let mut reg = ScenarioRegistry::empty();
+        let mut reg = Self::empty();
         reg.register_factory(
             "friendly",
             "the unmodified organic chain (the paper's easy case)",
@@ -384,154 +355,18 @@ impl ScenarioRegistry {
         reg
     }
 
-    /// Registers a fixed scenario under `name`, replacing any existing
-    /// entry with the same (normalized) name. The spec rejects
-    /// parameters; use [`register_factory`](Self::register_factory) for
-    /// parameterized scenarios.
-    pub fn register(&mut self, name: &str, description: &str, spec: Arc<dyn ScenarioSpec>) {
-        let owned_name = name.to_string();
-        self.register_factory(name, description, "", move |params| {
-            params.ensure_known_as("scenario", &owned_name, &[])?;
-            Ok(Arc::clone(&spec))
-        });
-    }
-
-    /// Registers a parameterized scenario factory under `name`,
-    /// replacing any existing entry with the same (normalized) name.
-    pub fn register_factory(
-        &mut self,
-        name: &str,
-        description: &str,
-        params_help: &str,
-        factory: impl Fn(&StrategyParams) -> Result<Arc<dyn ScenarioSpec>, StrategyError>
-            + Send
-            + Sync
-            + 'static,
-    ) {
-        let key = normalize_name(name);
-        assert!(!key.is_empty(), "scenario name must be non-empty");
-        self.entries.retain(|e| e.key != key);
-        self.entries.push(Entry {
-            key,
-            display: name.trim().to_string(),
-            description: description.to_string(),
-            params_help: params_help.to_string(),
-            kind: EntryKind::Factory(Arc::new(factory)),
-        });
-    }
-
-    /// Registers `alias` to resolve exactly like `target` (late-bound:
-    /// re-registering `target` retargets the alias too).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not registered.
-    pub fn register_alias(&mut self, alias: &str, target: &str) {
-        let target_entry = self
-            .entry(target)
-            .unwrap_or_else(|| panic!("alias target `{target}` is not registered"));
-        let description = format!("alias of {}", target_entry.display);
-        let target_key = target_entry.key.clone();
-        let key = normalize_name(alias);
-        assert!(!key.is_empty(), "scenario name must be non-empty");
-        self.entries.retain(|e| e.key != key);
-        self.entries.push(Entry {
-            key,
-            display: alias.trim().to_string(),
-            description,
-            params_help: String::new(),
-            kind: EntryKind::Alias(target_key),
-        });
-    }
-
-    fn entry(&self, name: &str) -> Option<&Entry> {
-        let key = normalize_name(name);
-        self.entries.iter().find(|e| e.key == key)
-    }
-
-    /// `true` when `name` resolves (ignoring parameters).
-    pub fn contains(&self, name: &str) -> bool {
-        self.entry(name).is_some()
-    }
-
-    /// The registered scenario names in registration order, aliases
-    /// included.
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|e| e.display.as_str()).collect()
-    }
-
-    /// The display names of the registered factories (no aliases), in
-    /// registration order — "every built-in scenario" for sweeps.
-    pub fn factory_names(&self) -> Vec<&str> {
-        self.entries
-            .iter()
-            .filter(|e| matches!(e.kind, EntryKind::Factory(_)))
-            .map(|e| e.display.as_str())
-            .collect()
-    }
-
-    /// Resolves one spec string: `name` or `name[key=value;key=value]`.
-    pub fn resolve(&self, spec: &str) -> Result<Arc<dyn ScenarioSpec>, StrategyError> {
-        let spec = spec.trim();
-        let (name, params) = match spec.split_once('[') {
-            None => (spec, StrategyParams::default()),
-            Some((name, rest)) => {
-                let Some(body) = rest.strip_suffix(']') else {
-                    return Err(StrategyError::new(format!(
-                        "unclosed `[` in scenario spec `{spec}`"
-                    )));
-                };
-                (name.trim(), StrategyParams::parse(body)?)
-            }
-        };
-        let Some(entry) = self.entry(name) else {
-            return Err(StrategyError::new(format!(
-                "unknown scenario `{name}` (registered: {})",
-                self.names().join(", ")
-            )));
-        };
-        (self.factory_of(entry)?)(&params)
-    }
-
-    /// The factory behind an entry, following one alias hop.
-    fn factory_of<'e>(&'e self, entry: &'e Entry) -> Result<&'e ScenarioFactory, StrategyError> {
-        match &entry.kind {
-            EntryKind::Factory(f) => Ok(f.as_ref()),
-            EntryKind::Alias(target_key) => {
-                let target = self.entries.iter().find(|e| e.key == *target_key);
-                match target.map(|e| &e.kind) {
-                    Some(EntryKind::Factory(f)) => Ok(f.as_ref()),
-                    _ => Err(StrategyError::new(format!(
-                        "alias `{}` points at `{target_key}`, which is no longer registered",
-                        entry.display
-                    ))),
-                }
-            }
-        }
-    }
-
     /// Resolves a comma-separated list of spec strings (commas inside
     /// `[...]` do not split); `all` expands to every registered factory
     /// unless a scenario was registered under that name. An empty list
     /// is an error.
     pub fn resolve_list(&self, specs: &str) -> Result<Vec<Arc<dyn ScenarioSpec>>, StrategyError> {
-        let mut out: Vec<Arc<dyn ScenarioSpec>> = Vec::new();
-        for part in split_top_level(specs) {
-            if normalize_name(&part) == "all" && !self.contains("all") {
-                for name in self.factory_names() {
-                    out.push(self.resolve(name)?);
-                }
-            } else {
-                out.push(self.resolve(&part)?);
-            }
-        }
-        if out.is_empty() {
-            return Err(StrategyError::new(format!(
-                "empty scenario list `{specs}` (registered: {})",
-                self.names().join(", ")
-            )));
-        }
-        Ok(out)
+        let resolved = self.resolve_list_with(specs, || {
+            self.factory_names()
+                .into_iter()
+                .map(|name| Ok((self.resolve(name)?, name.to_string())))
+                .collect()
+        })?;
+        Ok(resolved.into_iter().map(|(spec, _)| spec).collect())
     }
 
     /// Resolves a `+`-separated composition (`hub-burst+dummy-spam`)
@@ -552,25 +387,6 @@ impl ScenarioRegistry {
                 Ok(Arc::new(ComposedScenario::new(resolved)))
             }
         }
-    }
-
-    /// Renders the registry as a help table (scenario, parameters,
-    /// description).
-    pub fn help_table(&self) -> Table {
-        let mut t = Table::new(vec!["scenario", "parameters", "description"]);
-        for e in &self.entries {
-            let params_help = match &e.kind {
-                EntryKind::Factory(_) => e.params_help.clone(),
-                EntryKind::Alias(target_key) => self
-                    .entries
-                    .iter()
-                    .find(|t| t.key == *target_key)
-                    .map(|t| t.params_help.clone())
-                    .unwrap_or_default(),
-            };
-            t.row(vec![e.display.clone(), params_help, e.description.clone()]);
-        }
-        t
     }
 }
 
@@ -705,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn help_table_lists_every_entry() {
+    fn every_entry_is_listed_in_help() {
         let reg = ScenarioRegistry::with_builtins();
         let rendered = reg.help_table().to_string();
         for name in reg.names() {

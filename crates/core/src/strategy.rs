@@ -46,10 +46,8 @@
 //! assert!(registry.resolve("no-such-strategy").is_err());
 //! ```
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use blockpart_metrics::Table;
 use blockpart_partition::kl::DistributedKlConfig;
 use blockpart_partition::{
     DistributedKl, Fennel, HashPartitioner, LinearGreedy, MultilevelConfig, MultilevelPartitioner,
@@ -60,6 +58,7 @@ use blockpart_shard::{PlacementRule, RepartitionPolicy, RepartitionScope, Simula
 use blockpart_types::{Duration, ShardCount};
 
 use crate::methods::Method;
+use crate::registry::{Factory, Registry, RegistryItem, StrategyError};
 
 /// Everything the experiment pipeline needs from one partitioning
 /// strategy.
@@ -321,246 +320,29 @@ impl StrategySpec for StreamingStrategy {
     }
 }
 
-/// An error from strategy resolution or registration.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StrategyError(String);
-
-impl StrategyError {
-    pub(crate) fn new(msg: impl Into<String>) -> Self {
-        StrategyError(msg.into())
-    }
-}
-
-impl std::fmt::Display for StrategyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for StrategyError {}
-
-/// Key=value parameters attached to a strategy spec string
-/// (`r-metis[window=7]` → `{window: "7"}`).
-///
-/// # Examples
-///
-/// ```
-/// use blockpart_core::StrategyParams;
-///
-/// let p = StrategyParams::parse("window=7;cut=0.4").unwrap();
-/// assert_eq!(p.f64("cut").unwrap(), Some(0.4));
-/// assert_eq!(p.days("window").unwrap().unwrap().as_secs(), 7 * 86_400);
-/// assert_eq!(p.f64("absent").unwrap(), None);
-/// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct StrategyParams {
-    entries: BTreeMap<String, String>,
-}
-
-impl StrategyParams {
-    /// Parses `key=value` pairs separated by `;` or `,`.
-    pub fn parse(text: &str) -> Result<Self, StrategyError> {
-        let mut entries = BTreeMap::new();
-        for pair in text.split([';', ',']).filter(|p| !p.trim().is_empty()) {
-            let Some((key, value)) = pair.split_once('=') else {
-                return Err(StrategyError::new(format!(
-                    "malformed strategy parameter `{pair}` (expected key=value)"
-                )));
-            };
-            let (key, value) = (key.trim().to_string(), value.trim().to_string());
-            if key.is_empty() || value.is_empty() {
-                return Err(StrategyError::new(format!(
-                    "malformed strategy parameter `{pair}` (expected key=value)"
-                )));
-            }
-            if entries.insert(key.clone(), value).is_some() {
-                return Err(StrategyError::new(format!(
-                    "duplicate strategy parameter `{key}`"
-                )));
-            }
-        }
-        Ok(StrategyParams { entries })
-    }
-
-    /// `true` when no parameters were given.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The raw value for `key`, if present.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.entries.get(key).map(String::as_str)
-    }
-
-    /// Parses `key` as an `f64`.
-    pub fn f64(&self, key: &str) -> Result<Option<f64>, StrategyError> {
-        self.get(key)
-            .map(|v| {
-                v.parse::<f64>().map_err(|_| {
-                    StrategyError::new(format!("parameter `{key}`: `{v}` is not a number"))
-                })
-            })
-            .transpose()
-    }
-
-    /// Parses `key` as a positive duration in days (fractional days
-    /// allowed, rounded to whole hours, minimum one hour).
-    pub fn days(&self, key: &str) -> Result<Option<Duration>, StrategyError> {
-        self.f64(key)?
-            .map(|d| {
-                if !d.is_finite() || d <= 0.0 {
-                    return Err(StrategyError::new(format!(
-                        "parameter `{key}`: `{d}` is not a positive number of days"
-                    )));
-                }
-                let hours = (d * 24.0).round().max(1.0) as u64;
-                Ok(Duration::hours(hours))
-            })
-            .transpose()
-    }
-
-    /// The parameters re-rendered canonically: `key=value` pairs with
-    /// values verbatim, sorted by key, `;`-joined. Strategy labels embed
-    /// this form so a spec string round-trips as a report lookup key.
-    pub fn canonical_string(&self) -> String {
-        self.entries
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(";")
-    }
-
-    /// Parses `key` as a positive integer.
-    pub fn usize(&self, key: &str) -> Result<Option<usize>, StrategyError> {
-        self.get(key)
-            .map(|v| match v.parse::<usize>() {
-                Ok(n) if n > 0 => Ok(n),
-                _ => Err(StrategyError::new(format!(
-                    "parameter `{key}`: `{v}` is not a positive integer"
-                ))),
-            })
-            .transpose()
-    }
-
-    /// Errors when a parameter outside `allowed` was supplied.
-    pub fn ensure_known(&self, strategy: &str, allowed: &[&str]) -> Result<(), StrategyError> {
-        self.ensure_known_as("strategy", strategy, allowed)
-    }
-
-    /// Like [`ensure_known`](Self::ensure_known), but names the owner as
-    /// a `kind` (e.g. "scenario") in the error message, so registries of
-    /// other parameterized things produce accurate diagnostics.
-    pub fn ensure_known_as(
-        &self,
-        kind: &str,
-        owner: &str,
-        allowed: &[&str],
-    ) -> Result<(), StrategyError> {
-        for key in self.entries.keys() {
-            if !allowed.contains(&key.as_str()) {
-                return Err(StrategyError::new(format!(
-                    "{kind} `{owner}` does not take parameter `{key}` (accepted: {})",
-                    if allowed.is_empty() {
-                        "none".to_string()
-                    } else {
-                        allowed.join(", ")
-                    }
-                )));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// A strategy factory: builds a spec from parsed parameters.
-pub type StrategyFactory =
-    dyn Fn(&StrategyParams) -> Result<Arc<dyn StrategySpec>, StrategyError> + Send + Sync;
+pub type StrategyFactory = Factory<Arc<dyn StrategySpec>>;
 
 /// A resolved strategy paired with the spec string that produced it
 /// (see [`StrategyRegistry::resolve_list_with_sources`]).
 pub type ResolvedStrategy = (Arc<dyn StrategySpec>, String);
 
-enum EntryKind {
-    /// A strategy factory.
-    Factory(Arc<StrategyFactory>),
-    /// A late-bound alias: the normalized key of the target entry,
-    /// resolved at lookup time so re-registering the target retargets
-    /// the alias too.
-    Alias(String),
-}
-
-struct Entry {
-    /// Normalized lookup key (`rmetis`).
-    key: String,
-    /// The spelling the strategy was registered under (`r-metis`),
-    /// shown in listings and errors.
-    display: String,
-    description: String,
-    params_help: String,
-    kind: EntryKind,
+impl RegistryItem for Arc<dyn StrategySpec> {
+    const NOUN: &'static str = "strategy";
 }
 
 /// Name → strategy resolution, the open successor of the closed
-/// [`Method`] enum.
-///
-/// Lookup is case-insensitive and ignores `-`/`_` (so `r-metis`,
-/// `rmetis` and `R_METIS` all resolve the same entry; the paper's
-/// alternate `p-metis` label is registered as an alias). A spec string
-/// may parameterize the strategy: `name[key=value;key=value]`.
-pub struct StrategyRegistry {
-    entries: Vec<Entry>,
-}
-
-impl std::fmt::Debug for StrategyRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StrategyRegistry")
-            .field("strategies", &self.names())
-            .finish()
-    }
-}
-
-/// Normalizes a strategy name for lookup: lowercase, `-`/`_` stripped.
-pub(crate) fn normalize_name(name: &str) -> String {
-    name.trim()
-        .chars()
-        .filter(|c| *c != '-' && *c != '_')
-        .flat_map(char::to_lowercase)
-        .collect()
-}
-
-/// Normalizes a full spec string (`name` or `name[params]`) into a
-/// lookup key: normalized name plus canonically re-rendered parameters.
-/// Registry-built labels embed [`StrategyParams::canonical_string`], so
-/// the spec string a strategy was resolved from and the label its runs
-/// carry map to the same key.
-pub(crate) fn spec_lookup_key(spec: &str) -> String {
-    let spec = spec.trim();
-    if let Some((name, rest)) = spec.split_once('[') {
-        if let Some(body) = rest.strip_suffix(']') {
-            if let Ok(params) = StrategyParams::parse(body) {
-                if params.is_empty() {
-                    return normalize_name(name);
-                }
-                return format!("{}[{}]", normalize_name(name), params.canonical_string());
-            }
-        }
-    }
-    normalize_name(spec)
-}
+/// [`Method`] enum: a [`Registry`] over the `name[key=value;...]`
+/// grammar. The paper's alternate `p-metis` label is registered as an
+/// alias of `r-metis`.
+pub type StrategyRegistry = Registry<Arc<dyn StrategySpec>>;
 
 impl StrategyRegistry {
-    /// An empty registry (no built-ins).
-    pub fn empty() -> Self {
-        StrategyRegistry {
-            entries: Vec::new(),
-        }
-    }
-
     /// A registry with the built-in strategies: the paper's five (HASH,
     /// KL, METIS, R-METIS, TR-METIS — parameterizable) and the streaming
     /// baselines (LDG, FENNEL).
     pub fn with_builtins() -> Self {
-        let mut reg = StrategyRegistry::empty();
+        let mut reg = Self::empty();
         reg.register_factory(
             "hash",
             "hash(id) mod k: static balance, no moves, heavy cut",
@@ -674,124 +456,6 @@ impl StrategyRegistry {
         reg
     }
 
-    /// Registers a fixed strategy under `name`, replacing any existing
-    /// entry with the same (normalized) name. The spec rejects
-    /// parameters; use [`register_factory`](Self::register_factory) for
-    /// parameterized strategies.
-    pub fn register(&mut self, name: &str, description: &str, spec: Arc<dyn StrategySpec>) {
-        let owned_name = name.to_string();
-        self.register_factory(name, description, "", move |params| {
-            params.ensure_known(&owned_name, &[])?;
-            Ok(Arc::clone(&spec))
-        });
-    }
-
-    /// Registers a parameterized strategy factory under `name`, replacing
-    /// any existing entry with the same (normalized) name. `params_help`
-    /// is the human-readable parameter summary shown by
-    /// [`help_table`](Self::help_table) (empty for none).
-    pub fn register_factory(
-        &mut self,
-        name: &str,
-        description: &str,
-        params_help: &str,
-        factory: impl Fn(&StrategyParams) -> Result<Arc<dyn StrategySpec>, StrategyError>
-            + Send
-            + Sync
-            + 'static,
-    ) {
-        let key = normalize_name(name);
-        assert!(!key.is_empty(), "strategy name must be non-empty");
-        self.entries.retain(|e| e.key != key);
-        self.entries.push(Entry {
-            key,
-            display: name.trim().to_string(),
-            description: description.to_string(),
-            params_help: params_help.to_string(),
-            kind: EntryKind::Factory(Arc::new(factory)),
-        });
-    }
-
-    /// Registers `alias` to resolve exactly like `target`. The binding
-    /// is late: re-registering `target` retargets the alias too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not registered.
-    pub fn register_alias(&mut self, alias: &str, target: &str) {
-        let target_entry = self
-            .entry(target)
-            .unwrap_or_else(|| panic!("alias target `{target}` is not registered"));
-        let description = format!("alias of {}", target_entry.display);
-        let target_key = target_entry.key.clone();
-        let key = normalize_name(alias);
-        assert!(!key.is_empty(), "strategy name must be non-empty");
-        self.entries.retain(|e| e.key != key);
-        self.entries.push(Entry {
-            key,
-            display: alias.trim().to_string(),
-            description,
-            params_help: String::new(),
-            kind: EntryKind::Alias(target_key),
-        });
-    }
-
-    fn entry(&self, name: &str) -> Option<&Entry> {
-        let key = normalize_name(name);
-        self.entries.iter().find(|e| e.key == key)
-    }
-
-    /// `true` when `name` resolves (ignoring parameters).
-    pub fn contains(&self, name: &str) -> bool {
-        self.entry(name).is_some()
-    }
-
-    /// The registered strategy names as they were registered
-    /// (registration order, aliases included).
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|e| e.display.as_str()).collect()
-    }
-
-    /// Resolves one spec string: `name` or `name[key=value;key=value]`.
-    pub fn resolve(&self, spec: &str) -> Result<Arc<dyn StrategySpec>, StrategyError> {
-        let spec = spec.trim();
-        let (name, params) = match spec.split_once('[') {
-            None => (spec, StrategyParams::default()),
-            Some((name, rest)) => {
-                let Some(body) = rest.strip_suffix(']') else {
-                    return Err(StrategyError::new(format!(
-                        "unclosed `[` in strategy spec `{spec}`"
-                    )));
-                };
-                (name.trim(), StrategyParams::parse(body)?)
-            }
-        };
-        let Some(entry) = self.entry(name) else {
-            return Err(StrategyError::new(format!(
-                "unknown strategy `{name}` (registered: {})",
-                self.names().join(", ")
-            )));
-        };
-        (self.factory_of(entry)?)(&params)
-    }
-
-    /// The factory behind an entry, following one alias hop.
-    fn factory_of<'e>(&'e self, entry: &'e Entry) -> Result<&'e StrategyFactory, StrategyError> {
-        match &entry.kind {
-            EntryKind::Factory(f) => Ok(f.as_ref()),
-            EntryKind::Alias(target_key) => {
-                let target = self.entries.iter().find(|e| e.key == *target_key);
-                match target.map(|e| &e.kind) {
-                    Some(EntryKind::Factory(f)) => Ok(f.as_ref()),
-                    _ => Err(StrategyError::new(format!(
-                        "alias `{}` points at `{target_key}`, which is no longer registered",
-                        entry.display
-                    ))),
-                }
-            }
-        }
-    }
-
     /// Resolves a comma-separated list of spec strings; commas inside
     /// `[...]` parameter blocks do not split. The word `all` expands to
     /// the paper's five canonical strategies (unless a strategy was
@@ -815,24 +479,16 @@ impl StrategyRegistry {
         &self,
         specs: &str,
     ) -> Result<Vec<ResolvedStrategy>, StrategyError> {
-        let mut out = Vec::new();
-        for part in split_top_level(specs) {
-            if normalize_name(&part) == "all" && !self.contains("all") {
-                for spec in self.canonical()? {
+        self.resolve_list_with(specs, || {
+            Ok(self
+                .canonical()?
+                .into_iter()
+                .map(|spec| {
                     let label = spec.name().to_string();
-                    out.push((spec, label));
-                }
-            } else {
-                out.push((self.resolve(&part)?, part.trim().to_string()));
-            }
-        }
-        if out.is_empty() {
-            return Err(StrategyError::new(format!(
-                "empty strategy list `{specs}` (registered: {})",
-                self.names().join(", ")
-            )));
-        }
-        Ok(out)
+                    (spec, label)
+                })
+                .collect())
+        })
     }
 
     /// The paper's five canonical strategies, in presentation order.
@@ -842,26 +498,6 @@ impl StrategyRegistry {
             .map(|m| self.resolve(m.label()))
             .collect()
     }
-
-    /// Renders the registry as a help table (strategy, parameters,
-    /// description).
-    pub fn help_table(&self) -> Table {
-        let mut t = Table::new(vec!["strategy", "parameters", "description"]);
-        for e in &self.entries {
-            // aliases inherit the (current) target's parameter summary
-            let params_help = match &e.kind {
-                EntryKind::Factory(_) => e.params_help.clone(),
-                EntryKind::Alias(target_key) => self
-                    .entries
-                    .iter()
-                    .find(|t| t.key == *target_key)
-                    .map(|t| t.params_help.clone())
-                    .unwrap_or_default(),
-            };
-            t.row(vec![e.display.clone(), params_help, e.description.clone()]);
-        }
-        t
-    }
 }
 
 impl Default for StrategyRegistry {
@@ -870,35 +506,10 @@ impl Default for StrategyRegistry {
     }
 }
 
-/// Splits on commas not enclosed in `[...]`.
-pub(crate) fn split_top_level(text: &str) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut depth = 0usize;
-    let mut current = String::new();
-    for c in text.chars() {
-        match c {
-            '[' => {
-                depth += 1;
-                current.push(c);
-            }
-            ']' => {
-                depth = depth.saturating_sub(1);
-                current.push(c);
-            }
-            ',' if depth == 0 => {
-                parts.push(std::mem::take(&mut current));
-            }
-            c => current.push(c),
-        }
-    }
-    parts.push(current);
-    parts.retain(|p| !p.trim().is_empty());
-    parts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::spec_lookup_key;
 
     #[test]
     fn builtins_cover_paper_methods_and_baselines() {

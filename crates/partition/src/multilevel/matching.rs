@@ -1,14 +1,8 @@
 //! Vertex matchings for the coarsening phase.
 
 use blockpart_graph::Csr;
-use blockpart_types::{resolve_workers, split_ranges};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-
-/// Below this many vertices a matching round runs on the calling thread
-/// even when more workers are available (coarse levels get tiny, and
-/// thread spawns would dominate).
-const PARALLEL_VERTEX_THRESHOLD: usize = 4_096;
 
 /// How to pick the matching collapsed at each coarsening step.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -16,21 +10,31 @@ pub enum MatchingScheme {
     /// Match each vertex with its heaviest unmatched neighbour (METIS's
     /// HEM): hides heavy edges inside coarse vertices so they can never be
     /// cut, which is what drives the partitioner's low dynamic edge-cut.
-    /// Computed by deterministic parallel handshake rounds — see
-    /// [`match_vertices_workers`].
+    /// Computed by deterministic handshake rounds — see
+    /// [`match_vertices`].
     #[default]
     HeavyEdge,
     /// Match with a uniformly random unmatched neighbour (METIS's RM).
     /// Cheaper but quality-blind; kept for the ablation benchmarks.
-    /// Always sequential (it consumes the RNG per visit).
+    /// Consumes the RNG per visit.
     Random,
 }
 
-/// Computes a matching over `csr` on the calling thread.
+/// Computes a matching over `csr`.
 ///
-/// Equivalent to [`match_vertices_workers`] with one worker — and, since
-/// the matching is deterministic in the worker count, equivalent to it at
-/// *any* worker count.
+/// Returns `mate` where `mate[v]` is the vertex `v` is matched with
+/// (`mate[v] == v` for unmatched vertices). The relation is symmetric:
+/// `mate[mate[v]] == v`. Matched pairs are either adjacent (edge
+/// matching) or share a common neighbour (the two-hop phase that keeps
+/// star-shaped blockchain graphs coarsening — see below).
+///
+/// [`MatchingScheme::HeavyEdge`] runs *handshake rounds*: every unmatched
+/// vertex computes its preferred unmatched neighbour — heaviest edge,
+/// ties to the smallest id — from the round's start state, then pairs
+/// whose preferences are mutual are matched. Rounds stop at a fixed cap
+/// or when one yields no mutual pair; whatever remains (preference
+/// cycles, cap leftovers) is matched by a single greedy sweep in index
+/// order using the same selection rule.
 ///
 /// # Examples
 ///
@@ -48,41 +52,13 @@ pub enum MatchingScheme {
 /// assert_eq!(mate[2], 3);
 /// ```
 pub fn match_vertices(csr: &Csr, scheme: MatchingScheme, rng: &mut SmallRng) -> Vec<u32> {
-    match_vertices_workers(csr, scheme, rng, 1)
-}
-
-/// Computes a matching over `csr` using up to `workers` threads (`0` =
-/// automatic).
-///
-/// Returns `mate` where `mate[v]` is the vertex `v` is matched with
-/// (`mate[v] == v` for unmatched vertices). The relation is symmetric:
-/// `mate[mate[v]] == v`. Matched pairs are either adjacent (edge
-/// matching) or share a common neighbour (the two-hop phase that keeps
-/// star-shaped blockchain graphs coarsening — see below).
-///
-/// [`MatchingScheme::HeavyEdge`] runs *handshake rounds*: every unmatched
-/// vertex computes its preferred unmatched neighbour — heaviest edge,
-/// ties to the smallest id — in parallel over vertex ranges, then pairs
-/// whose preferences are mutual are matched. The preference pass is a
-/// pure function of the round's start state, so the result is
-/// byte-identical for every worker count. Rounds stop at a fixed cap or
-/// when one yields no mutual pair; whatever remains (preference cycles,
-/// cap leftovers) is matched by a single sequential greedy sweep in
-/// index order using the same selection rule.
-/// [`MatchingScheme::Random`] ignores `workers`.
-pub fn match_vertices_workers(
-    csr: &Csr,
-    scheme: MatchingScheme,
-    rng: &mut SmallRng,
-    workers: usize,
-) -> Vec<u32> {
     let n = csr.node_count();
     let mut mate: Vec<u32> = (0..n as u32).collect();
     let mut matched = vec![false; n];
 
     match scheme {
         MatchingScheme::HeavyEdge => {
-            handshake_rounds(csr, &mut mate, &mut matched, workers);
+            handshake_rounds(csr, &mut mate, &mut matched);
         }
         MatchingScheme::Random => {
             let mut order: Vec<u32> = (0..n as u32).collect();
@@ -142,12 +118,12 @@ const MAX_HANDSHAKE_ROUNDS: usize = 16;
 
 /// Runs deterministic heavy-edge handshake rounds, then matches whatever
 /// they left (preference cycles, round-cap leftovers) with a single
-/// sequential greedy sweep in index order.
-fn handshake_rounds(csr: &Csr, mate: &mut [u32], matched: &mut [bool], workers: usize) {
+/// greedy sweep in index order.
+fn handshake_rounds(csr: &Csr, mate: &mut [u32], matched: &mut [bool]) {
     let n = csr.node_count();
     let mut candidate = vec![u32::MAX; n];
     for _ in 0..MAX_HANDSHAKE_ROUNDS {
-        compute_candidates(csr, matched, &mut candidate, workers);
+        compute_candidates(csr, matched, &mut candidate);
         let mut progress = false;
         for v in 0..n {
             if matched[v] || candidate[v] == u32::MAX {
@@ -168,8 +144,7 @@ fn handshake_rounds(csr: &Csr, mate: &mut [u32], matched: &mut [bool], workers: 
         }
     }
     // Greedy finish: one O(E) pass picking each remaining vertex's best
-    // unmatched neighbour by the same (weight, smallest-id) rule. Purely
-    // sequential and index-ordered, so still worker-count-independent.
+    // unmatched neighbour by the same (weight, smallest-id) rule.
     for v in 0..n {
         if matched[v] {
             continue;
@@ -191,47 +166,18 @@ fn handshake_rounds(csr: &Csr, mate: &mut [u32], matched: &mut [bool], workers: 
 
 /// Fills `candidate[v]` with `v`'s heaviest unmatched neighbour (ties to
 /// the smallest id), or `u32::MAX` when `v` is matched or isolated among
-/// the unmatched. A pure function of `(csr, matched)` — the worker split
-/// never affects the values, only who computes them.
-fn compute_candidates(csr: &Csr, matched: &[bool], candidate: &mut [u32], workers: usize) {
-    let n = csr.node_count();
-    let auto = workers == 0;
-    let workers = resolve_workers(workers);
-    let best = |v: usize| -> u32 {
-        if matched[v] {
-            return u32::MAX;
-        }
-        csr.neighbors(v)
-            .filter(|&(u, _)| !matched[u as usize])
-            .max_by_key(|&(u, w)| (w, std::cmp::Reverse(u)))
-            .map_or(u32::MAX, |(u, _)| u)
-    };
-    if workers == 1 || (auto && n < PARALLEL_VERTEX_THRESHOLD) {
-        for (v, slot) in candidate.iter_mut().enumerate() {
-            *slot = best(v);
-        }
-        return;
+/// the unmatched. A pure function of `(csr, matched)`.
+fn compute_candidates(csr: &Csr, matched: &[bool], candidate: &mut [u32]) {
+    for (v, slot) in candidate.iter_mut().enumerate() {
+        *slot = if matched[v] {
+            u32::MAX
+        } else {
+            csr.neighbors(v)
+                .filter(|&(u, _)| !matched[u as usize])
+                .max_by_key(|&(u, w)| (w, std::cmp::Reverse(u)))
+                .map_or(u32::MAX, |(u, _)| u)
+        };
     }
-    let ranges = split_ranges(n, workers);
-    let mut slices: Vec<&mut [u32]> = Vec::with_capacity(ranges.len());
-    let mut rest = candidate;
-    for range in &ranges {
-        let (head, tail) = rest.split_at_mut(range.len());
-        slices.push(head);
-        rest = tail;
-    }
-    crossbeam::thread::scope(|scope| {
-        for (slice, range) in slices.into_iter().zip(&ranges) {
-            let start = range.start;
-            let best = &best;
-            scope.spawn(move |_| {
-                for (i, slot) in slice.iter_mut().enumerate() {
-                    *slot = best(start + i);
-                }
-            });
-        }
-    })
-    .expect("matching worker panicked");
 }
 
 #[cfg(test)]

@@ -74,10 +74,6 @@ pub struct MultilevelConfig {
     pub weighting: VertexWeighting,
     /// RNG seed (matchings, growing seeds and visit orders draw from it).
     pub seed: u64,
-    /// Worker threads for the matching and contraction phases (`0` =
-    /// automatic). Any value produces byte-identical partitions; this
-    /// knob trades only wall-clock time.
-    pub threads: usize,
 }
 
 impl Default for MultilevelConfig {
@@ -90,7 +86,6 @@ impl Default for MultilevelConfig {
             matching: MatchingScheme::HeavyEdge,
             weighting: VertexWeighting::Unit,
             seed: 0x004d_4554_4953, // "METIS"
-            threads: 0,
         }
     }
 }
@@ -188,9 +183,8 @@ pub fn kway_traced<C: Collector>(
     let mut levels: Vec<(Csr, Vec<u32>)> = Vec::new(); // (fine graph, fine->coarse map)
     let mut current = base;
     while current.node_count() > stop_at {
-        let matching =
-            matching::match_vertices_workers(&current, config.matching, &mut rng, config.threads);
-        let (coarse, map) = coarsen::contract_workers(&current, &matching, config.threads);
+        let matching = matching::match_vertices(&current, config.matching, &mut rng);
+        let (coarse, map) = coarsen::contract(&current, &matching);
         // Stop when coarsening stalls (highly connected graphs).
         if coarse.node_count() as f64 > current.node_count() as f64 * 0.95 {
             break;

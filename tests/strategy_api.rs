@@ -5,7 +5,10 @@
 
 use std::sync::Arc;
 
-use blockpart::core::{Experiment, ExperimentReport, StrategyRegistry, StrategySpec};
+use blockpart::core::{
+    EngineRegistry, Experiment, ExperimentReport, ScenarioRegistry, StrategyError,
+    StrategyRegistry, StrategySpec,
+};
 use blockpart::ethereum::gen::{ChainGenerator, GeneratorConfig};
 use blockpart::graph::Csr;
 use blockpart::partition::{Partition, PartitionRequest, Partitioner};
@@ -246,6 +249,139 @@ fn experiment_reproduces_runtime_study_numbers() {
         assert_eq!(r.makespan_us, makespan, "{name}");
         assert_eq!(r.exec_speculated, 0, "{name}");
         assert_eq!(r.headline(), headline, "{name}");
+    }
+}
+
+/// The message of a failed resolution (`unwrap_err` would need the
+/// resolved type to be `Debug`, which trait objects are not).
+fn err_of<T>(resolved: Result<T, StrategyError>) -> String {
+    match resolved {
+        Err(e) => e.to_string(),
+        Ok(_) => panic!("expected a resolution error"),
+    }
+}
+
+/// Runs the `blockpart` binary and returns its stdout.
+fn cli_stdout(command: &str) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_blockpart"))
+        .arg(command)
+        .output()
+        .expect("blockpart runs");
+    assert!(out.status.success(), "blockpart {command} failed");
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// Golden pin: the three registries' help tables and the CLI's listing
+/// commands are byte-identical to the committed golden files.
+#[test]
+fn registry_listings_are_pinned() {
+    let tables = [
+        (
+            "list-strategies",
+            StrategyRegistry::with_builtins().help_table(),
+            include_str!("golden/list-strategies.txt"),
+        ),
+        (
+            "list-scenarios",
+            ScenarioRegistry::with_builtins().help_table(),
+            include_str!("golden/list-scenarios.txt"),
+        ),
+        (
+            "list-engines",
+            EngineRegistry::with_builtins().help_table(),
+            include_str!("golden/list-engines.txt"),
+        ),
+    ];
+    for (command, table, golden) in tables {
+        assert_eq!(format!("{}\n", table.render_ascii()), golden, "{command}");
+        assert_eq!(cli_stdout(command), golden, "{command}");
+    }
+    assert_eq!(cli_stdout("help"), include_str!("golden/help.txt"));
+}
+
+/// Golden pin: every registry's one-line resolution errors, exactly.
+/// Parameter-parse errors name the registry's own noun.
+#[test]
+fn registry_errors_are_pinned() {
+    let strategies = StrategyRegistry::with_builtins();
+    let scenarios = ScenarioRegistry::with_builtins();
+    let engines = EngineRegistry::with_builtins();
+    let cases = [
+        (
+            err_of(strategies.resolve("bogus")),
+            "unknown strategy `bogus` (registered: hash, kl, metis, r-metis, tr-metis, \
+             p-metis, ldg, fennel)",
+        ),
+        (
+            err_of(strategies.resolve("r-metis[window=7")),
+            "unclosed `[` in strategy spec `r-metis[window=7`",
+        ),
+        (
+            err_of(strategies.resolve("hash[window=7]")),
+            "strategy `hash` does not take parameter `window` (accepted: none)",
+        ),
+        (
+            err_of(strategies.resolve("r-metis[window]")),
+            "malformed strategy parameter `window` (expected key=value)",
+        ),
+        (
+            err_of(strategies.resolve("r-metis[window=7;window=8]")),
+            "duplicate strategy parameter `window`",
+        ),
+        (
+            err_of(strategies.resolve_list(" , ")),
+            "empty strategy list ` , ` (registered: hash, kl, metis, r-metis, tr-metis, \
+             p-metis, ldg, fennel)",
+        ),
+        (
+            err_of(scenarios.resolve("bogus")),
+            "unknown scenario `bogus` (registered: friendly, baseline, hub-burst, ico-burst, \
+             dummy-spam, dex-arb, aa-batch, nft-mint, phase-shift)",
+        ),
+        (
+            err_of(scenarios.resolve("hub-burst[contracts=3")),
+            "unclosed `[` in scenario spec `hub-burst[contracts=3`",
+        ),
+        (
+            err_of(scenarios.resolve("friendly[x=1]")),
+            "scenario `friendly` does not take parameter `x` (accepted: none)",
+        ),
+        (
+            err_of(scenarios.resolve("hub-burst[contracts]")),
+            "malformed scenario parameter `contracts` (expected key=value)",
+        ),
+        (
+            err_of(scenarios.resolve("hub-burst[contracts=2;contracts=3]")),
+            "duplicate scenario parameter `contracts`",
+        ),
+        (
+            err_of(scenarios.resolve_list(" , ")),
+            "empty scenario list ` , ` (registered: friendly, baseline, hub-burst, ico-burst, \
+             dummy-spam, dex-arb, aa-batch, nft-mint, phase-shift)",
+        ),
+        (
+            err_of(engines.resolve("bogus")),
+            "unknown engine `bogus` (registered: serial, parallel, block-stm)",
+        ),
+        (
+            err_of(engines.resolve("parallel[lanes=2")),
+            "unclosed `[` in engine spec `parallel[lanes=2`",
+        ),
+        (
+            err_of(engines.resolve("serial[lanes=2]")),
+            "engine `serial` does not take parameter `lanes` (accepted: none)",
+        ),
+        (
+            err_of(engines.resolve("parallel[lanes]")),
+            "malformed engine parameter `lanes` (expected key=value)",
+        ),
+        (
+            err_of(engines.resolve("parallel[x=1;x=2]")),
+            "duplicate engine parameter `x`",
+        ),
+    ];
+    for (actual, expected) in cases {
+        assert_eq!(actual, expected);
     }
 }
 
